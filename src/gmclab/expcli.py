@@ -273,7 +273,8 @@ def _window_from_curve(curve: tailest.WeightedSurvival, mb_plain,
     importance-sampled survival has dropped below ``p_entry`` (the power law
     is an asymptotic statement; the pre-asymptotic shoulder with P ~ 1e-2
     biases the slope well outside its error bars at desk resolution).  Upper
-    edge: the last t with at least 50 importance-sampler exceedances.  The
+    edge: the last t where at least 50 importance-sampler replicas have a
+    tilt above t, capped at 1.75 decades above the lower edge.  The
     sliding-window stability scan is the honesty check on this choice.
     """
     t_lo = float(np.quantile(mb_plain, 0.95))

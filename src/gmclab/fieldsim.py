@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -222,33 +222,46 @@ def sample_field(factor: CovFactor, seed: int) -> FieldSample:
     return FieldSample(values=factor.lower_factor @ z, seed=seed)
 
 
+def map_field_chunks(factor: CovFactor, seed: int, n: int,
+                     fn: Callable[[np.ndarray], Any], stream_offset: int = 0,
+                     out: Optional[np.ndarray] = None) -> list:
+    """Draw n fields chunk by chunk; return ``fn(x)`` per chunk, in chunk order.
+
+    Replicas are cut into fixed chunks of ``SAMPLE_CHUNK``; chunk c draws its
+    normals z from stream ``stream_offset + c`` and x = L z is its (dim,
+    size) block of fields.  With ``out`` the block is written into
+    ``out[:, a:b]``; otherwise it is a chunk temporary that ``fn`` may
+    overwrite, so no (dim, n) array is built.  Chunks run on a pool of
+    ``thread_count()`` threads, and results come back in chunk order, so any
+    reduction over them is identical for every worker count.
+    """
+    lower = factor.lower_factor
+    sizes = chunk_sizes(n, SAMPLE_CHUNK)
+
+    def run(c):
+        a, b = c * SAMPLE_CHUNK, c * SAMPLE_CHUNK + sizes[c]
+        z = stream_generator(seed, stream_offset + c).standard_normal(
+            (factor.dim, b - a))
+        return fn(np.matmul(lower, z,
+                            out=None if out is None else out[:, a:b]))
+
+    workers = thread_count()
+    if workers > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, range(len(sizes))))
+    return [run(c) for c in range(len(sizes))]
+
+
 def sample_field_batch(factor: CovFactor, seed: int, n: int,
                        stream_offset: int = 0) -> np.ndarray:
     """(dim, n) matrix of independent fields; column order is reproducible.
 
-    Replicas are cut into fixed chunks; chunk c draws from stream
-    ``stream_offset + c`` and blocks are concatenated in chunk order, so the
+    Columns are the chunks of ``map_field_chunks`` in chunk order, so the
     output is identical for any worker count.
     """
-    sizes = chunk_sizes(n, SAMPLE_CHUNK)
-    lower = factor.lower_factor
-
-    def draw(task):
-        c, size = task
-        z = stream_generator(seed, stream_offset + c).standard_normal(
-            (factor.dim, size))
-        return lower @ z
-
-    tasks = list(enumerate(sizes))
-    workers = thread_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(draw, tasks))
-    else:
-        blocks = [draw(t) for t in tasks]
-    if not blocks:
-        return np.empty((factor.dim, 0))
-    return np.concatenate(blocks, axis=1)
+    out = np.empty((factor.dim, n))
+    map_field_chunks(factor, seed, n, lambda x: None, stream_offset, out=out)
+    return out
 
 
 def shift_vector(factor: CovFactor, grid: Grid, v: float, charge: float) -> np.ndarray:

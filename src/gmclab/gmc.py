@@ -128,6 +128,13 @@ def _renorm_exp(vals, diag, coupling):
 
 # --- plain masses -----------------------------------------------------------
 
+def _require_finite_bulk_weights(w: np.ndarray) -> None:
+    if not np.all(np.isfinite(w)):
+        raise SupercriticalWeight(
+            "bulk weight integral diverges at y=0 for gamma >= sqrt(2); "
+            "exclude the bottom row or lower gamma")
+
+
 def bulk_weights(grid: Grid, params: GmcParams) -> np.ndarray:
     """Exact cell integrals of y^{-gamma^2/2}; bottom row is +inf once
     gamma^2/2 >= 1 (non-integrable boundary weight)."""
@@ -157,10 +164,7 @@ def bulk_mass(field: ArrayOrField, factor: CovFactor, grid: Grid,
     w = bulk_weights(grid, params)[region]
     if cell_fractions is not None:
         w = w * np.asarray(cell_fractions)
-    if region.size and not np.all(np.isfinite(w)):
-        raise SupercriticalWeight(
-            "bulk weight integral diverges at y=0 for gamma >= sqrt(2); "
-            "exclude the bottom row or lower gamma")
+    _require_finite_bulk_weights(w)
     vals = _values(field)
     if not region.size:
         out = np.zeros(vals.shape[1:])
@@ -183,6 +187,43 @@ def bdy_mass(field: ArrayOrField, factor: CovFactor, grid: Grid,
         ex = _renorm_exp(vals[idx], factor.diag_var[idx], params.gamma / 2.0)
         out = grid.seg_len * ex.sum(axis=0)
     return float(out) if np.ndim(out) == 0 else out
+
+
+class TiltedMasses:
+    """Whole-cube bulk and boundary masses of x + s_j for fixed shifts s_j.
+
+    Since e^{c (X + s)} = e^{c X} e^{c s}, every shift and the
+    renormalization e^{-c^2/2 Var X} fold into the mass weights: the bulk
+    mass of x + s_j is sum_i w_i e^{gamma s_ij - gamma^2/2 Var X_i}
+    e^{gamma x_i}, and the boundary mass is the same sum with seg_len and
+    coupling gamma/2.  A batch then costs one exponential per node and
+    replica plus two small GEMMs for all shifts.
+    """
+
+    def __init__(self, factor: CovFactor, grid: Grid, params: GmcParams,
+                 shifts: np.ndarray):
+        check_node_factor(factor, grid)
+        nb = grid.n_bulk_cells
+        g = params.gamma
+        w = bulk_weights(grid, params)
+        _require_finite_bulk_weights(w)
+        coupling = np.where(np.arange(factor.dim) < nb, g, 0.5 * g)[:, None]
+        expo = coupling * np.asarray(shifts, dtype=float) \
+            - 0.5 * coupling * coupling * factor.diag_var[:, None]
+        self.n_bulk = nb
+        self.coupling = coupling
+        self.bulk_w = w[:, None] * np.exp(expo[:nb])
+        self.bdy_w = grid.seg_len * np.exp(expo[nb:])
+
+    def __call__(self, x: np.ndarray):
+        """(bulk, boundary) masses, each (n_shifts, n), of the columns of x.
+
+        ``x`` (dim, n) is overwritten with e^{c x}.
+        """
+        x *= self.coupling
+        np.exp(x, out=x)
+        nb = self.n_bulk
+        return self.bulk_w.T @ x[:nb], self.bdy_w.T @ x[nb:]
 
 
 # --- localized weights ------------------------------------------------------

@@ -21,6 +21,7 @@ and the field decomposes as X = sqrt(2) B_t + Y with Y the lateral noise.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,6 +30,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .cellavg import SEGMENT_LOG_CONST
 from .errors import DiagonalSingularity, QuadratureUnstable
+
+log = logging.getLogger(__name__)
 
 EXACT_SCALING_NEUMANN = "exact_scaling_neumann"
 DIRICHLET_PART = "dirichlet_part"
@@ -168,10 +171,16 @@ def _g_matrix(g: Callable, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     zb = pts_b[None, :, :]
     try:
         out = np.asarray(g(za, zb), dtype=float)
+    except Exception as exc:  # any failure of a user g on broadcast points
+        log.warning("perturbation g is not vectorized (%s: %s); evaluating "
+                    "%d x %d pairs one by one", type(exc).__name__, exc,
+                    len(pts_a), len(pts_b))
+    else:
         if out.shape == (len(pts_a), len(pts_b)):
             return out
-    except Exception:
-        pass
+        log.warning("perturbation g returned shape %s on broadcast points, "
+                    "not (%d, %d); evaluating pairs one by one", out.shape,
+                    len(pts_a), len(pts_b))
     out = np.empty((len(pts_a), len(pts_b)))
     for i, p in enumerate(pts_a):
         for j, q in enumerate(pts_b):
@@ -203,7 +212,11 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
         if spec.kind == EXACT_SCALING_NEUMANN:
             return -np.log(d_direct) - np.log(d_image)
         if spec.kind == DIRICHLET_PART:
-            return -np.log(d_direct) + np.log(d_image)
+            # coincident boundary points would give inf - inf
+            out = np.full(d_direct.shape, np.inf)
+            off = d_direct > 0.0
+            out[off] = -np.log(d_direct[off]) + np.log(d_image[off])
+            return out
         if spec.kind == BOUNDARY_RESTRICTION:
             return -2.0 * np.log(d_image)
         if spec.kind == PERTURBED:

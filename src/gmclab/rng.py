@@ -13,6 +13,8 @@ import os
 
 import numpy as np
 
+from .errors import ConfigInvalid
+
 
 def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Return the Philox generator for ``(seed, stream)``.
@@ -29,13 +31,20 @@ def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def thread_count() -> int:
-    """Worker count for replica loops: GMCLAB_THREADS, default 1."""
+    """Worker count for replica loops: GMCLAB_THREADS, default 1.
+
+    Raises ``ConfigInvalid`` unless the variable is a positive integer.
+    """
     raw = os.environ.get("GMCLAB_THREADS", "1")
     try:
         n = int(raw)
     except ValueError:
-        return 1
-    return max(1, n)
+        raise ConfigInvalid(
+            f"GMCLAB_THREADS must be a positive integer, got {raw!r}") from None
+    if n < 1:
+        raise ConfigInvalid(
+            f"GMCLAB_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def chunk_sizes(n_total: int, chunk: int) -> list[int]:

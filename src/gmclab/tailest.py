@@ -11,7 +11,12 @@ independent estimates of the constant live here:
 
    with s_j the exact discrete Girsanov drift toward boundary midpoint v_j
    (this identity is exact for the cell-regularized Gaussian vector), fitted
-   by weighted least squares on the log-log survival curve;
+   by weighted least squares on the log-log survival curve.  The drifts are
+   deterministic, so every field draw is tilted toward all midpoints at once
+   and contributes the sum over j; with the draw budget of one batch per
+   midpoint the replicas are streamed in chunks, and the standard error
+   comes from the per-replica sums because the tilts of one draw are
+   correlated;
 
 2. the radial route: 2r (1 - gamma^2/4) E[I_H(inf)^{2/gamma^2} / I_bdy(inf)],
    a Monte Carlo mean with finite expectation but possibly infinite variance,
@@ -33,7 +38,7 @@ from scipy import integrate
 from . import gmc
 from .errors import (ConfigInvalid, DegenerateWindow, EmptySample,
                      GeometryViolation, Infeasible, QuadratureUnstable)
-from .fieldsim import CovFactor, Grid, sample_field_batch, shift_vector
+from .fieldsim import CovFactor, Grid, map_field_chunks, shift_vector
 from .gmc import GmcParams
 from .radial import RadialConfig, RadialSampler, compute_I
 from .rng import stream_generator
@@ -188,66 +193,83 @@ def fixed_exponent_constant(curve: WeightedSurvival, exponent: float, window):
 
 # --- boundary-localization importance sampler ----------------------------------
 
-def _tilted_masses(params: GmcParams, grid: Grid, factor: CovFactor,
-                   n: int, seed: int, v_index: int):
-    """Bulk/boundary masses of fields tilted toward boundary midpoint v_j."""
-    v = grid.bdy_centers[v_index]
-    delta = shift_vector(factor, grid, float(v), params.gamma / 2.0)
-    x = sample_field_batch(factor, seed, n,
-                           stream_offset=v_index * (1 << 32))
-    x += delta[:, None]
-    mb = gmc.bulk_mass(x, factor, grid, params, gmc.region_all_bulk(grid))
-    md = gmc.bdy_mass(x, factor, grid, params, gmc.region_all_bdy(grid))
-    return mb, md
+def _sum_above(a: np.ndarray, axis: int) -> np.ndarray:
+    """Reverse cumulative sum: entry k holds the sum of entries k, k+1, ..."""
+    return np.flip(np.cumsum(np.flip(a, axis), axis=axis), axis)
 
 
 def localized_survival_curve(params: GmcParams, grid: Grid, factor: CovFactor,
                              ts, n_per_point: int, seed: int) -> WeightedSurvival:
     """Importance-sampled survival curve of mu_H(Q_r) on a t-grid.
 
-    For each boundary midpoint v_j, N tilted replicas contribute
-    1{bulk > t}/bdy; the estimate is seg_len times the sum over j of the
-    per-point averages, with independent-sum error propagation.  Exact in
-    expectation for every t simultaneously (same draws reused across t).
+    The tilts s_j are deterministic, so one field draw serves all of them:
+    each of the ``n_bdy * n_per_point`` replicas X is tilted toward every
+    boundary midpoint v_j and contributes
+
+        Y(t) = sum_j 1{mu_H(X + s_j) > t} / mu_bdy(X + s_j),
+
+    and phat(t) = seg_len * mean(Y(t)).  Replica block j (``n_per_point``
+    replicas) draws from the streams of tilt j, so the draw budget is one
+    (dim x n_per_point) batch per midpoint.  The tilts of one replica are
+    correlated, so the standard error is seg_len * sd(Y) / sqrt(replicas),
+    taken over replicas.  ``n_exceed`` counts the replicas with at least one
+    tilt above t.  Exact in expectation for every t simultaneously (same
+    draws reused across t), and nonincreasing in t.  Fields are streamed in
+    chunks; no (dim, replicas) array is built.
     """
     ts = np.asarray(ts, dtype=float)
-    acc_mean = np.zeros(ts.size)
-    acc_var = np.zeros(ts.size)
-    n_exc = np.zeros(ts.size, dtype=np.int64)
+    order = np.argsort(ts, kind="stable")
+    t_sorted = ts[order]
+    n_t = ts.size
+    shifts = np.column_stack([shift_vector(factor, grid, float(v),
+                                           params.gamma / 2.0)
+                              for v in grid.bdy_centers])
+    masses = gmc.TiltedMasses(factor, grid, params, shifts)
+
+    def chunk_sums(x):
+        mb, md = masses(x)  # (n_bdy, size) each
+        size = x.shape[1]
+        # tilt (j, r) lies above t_k exactly for k < b, its bin
+        # b = searchsorted(t, mb[j, r]); replica r then has
+        # Y_r(t_k) = sum over b > k of w[r, b].  Tilts at or below the
+        # smallest t sit in bin 0 and add to no Y_r(t_k).
+        hit = np.flatnonzero(mb > t_sorted[0])
+        bins = np.searchsorted(t_sorted, mb.ravel()[hit], side="left")
+        flat = bins + (n_t + 1) * (hit % size)
+        w = np.bincount(flat, weights=1.0 / md.ravel()[hit],
+                        minlength=size * (n_t + 1)).reshape(size, n_t + 1)
+        top = np.bincount(np.searchsorted(t_sorted, mb.max(axis=0),
+                                          side="left"), minlength=n_t + 1)
+        return w.sum(axis=0), w.T @ w, top
+
+    w_sum = np.zeros(n_t + 1)
+    gram = np.zeros((n_t + 1, n_t + 1))
+    top = np.zeros(n_t + 1, dtype=np.int64)
     for j in range(grid.n_bdy):
-        mb, md = _tilted_masses(params, grid, factor, n_per_point, seed, j)
-        order = np.argsort(mb)
-        mb_s = mb[order]
-        inv = 1.0 / md[order]
-        c1 = np.concatenate([[0.0], np.cumsum(inv[::-1])])[::-1]
-        c2 = np.concatenate([[0.0], np.cumsum((inv ** 2)[::-1])])[::-1]
-        pos = np.searchsorted(mb_s, ts, side="right")
-        s1 = c1[pos]
-        s2 = c2[pos]
-        mean = s1 / n_per_point
-        var = (s2 / n_per_point - mean ** 2) / n_per_point
-        acc_mean += mean
-        acc_var += np.maximum(var, 0.0)
-        n_exc += (n_per_point - pos).astype(np.int64)
-    phat = grid.seg_len * acc_mean
-    stderr = grid.seg_len * np.sqrt(acc_var)
-    return WeightedSurvival(ts=ts, phat=phat, stderr=stderr, n_exceed=n_exc)
-
-
-def localized_tail_estimator(params: GmcParams, grid: Grid, factor: CovFactor,
-                             t: float, N: int, seed: int):
-    """(estimate, stderr) of P[mu_H(Q_r) > t] by boundary localization."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    curve = localized_survival_curve(params, grid, factor, [t], N, seed)
-    return float(curve.phat[0]), float(curve.stderr[0])
+        for a, b, c in map_field_chunks(factor, seed, n_per_point, chunk_sums,
+                                        stream_offset=j * (1 << 32)):
+            w_sum += a
+            gram += b
+            top += c
+    n = grid.n_bdy * n_per_point
+    mean = _sum_above(w_sum, 0)[1:] / n
+    y2 = np.diag(_sum_above(_sum_above(gram, 0), 1))[1:]  # sum_r Y_r(t_k)^2
+    var = np.maximum(y2 / n - mean ** 2, 0.0) / n
+    n_exc = _sum_above(top, 0)[1:]
+    inv = np.empty_like(order)
+    inv[order] = np.arange(n_t)
+    return WeightedSurvival(ts=ts, phat=grid.seg_len * mean[inv],
+                            stderr=grid.seg_len * np.sqrt(var)[inv],
+                            n_exceed=n_exc[inv])
 
 
 def plain_survival(params: GmcParams, grid: Grid, factor: CovFactor,
                    ts, N: int, seed: int):
     """Plain Monte Carlo survival of mu_H(Q_r) (the baseline estimator)."""
-    x = sample_field_batch(factor, seed, N)
-    mb = gmc.bulk_mass(x, factor, grid, params, gmc.region_all_bulk(grid))
+    region = gmc.region_all_bulk(grid)
+    mb = np.concatenate(map_field_chunks(
+        factor, seed, N,
+        lambda x: gmc.bulk_mass(x, factor, grid, params, region)))
     return survival_curve(mb, ts), mb
 
 
@@ -448,10 +470,13 @@ def _grid_quotient_samples(params, grid, factor, v, rho, region, N, seed, p, q):
         raise ConfigInvalid(f"unknown grid region {region!r}")
     if cells.size == 0 or segs.size == 0:
         raise ConfigInvalid(f"region {region} at rho={rho} selects no nodes")
-    x = sample_field_batch(factor, seed, N)
-    num = gmc.localized_bulk_mass(x, factor, grid, params, v, cells)
-    den = gmc.localized_bdy_mass(x, factor, grid, params, v, segs)
-    return num ** p / den ** q
+
+    def quotient(x):
+        num = gmc.localized_bulk_mass(x, factor, grid, params, v, cells)
+        den = gmc.localized_bdy_mass(x, factor, grid, params, v, segs)
+        return num ** p / den ** q
+
+    return np.concatenate(map_field_chunks(factor, seed, N, quotient))
 
 
 def quotient_rho_scan(gamma: float, p: float, q: float, rhos: Sequence[float],
@@ -502,18 +527,22 @@ def locality_gap(params: GmcParams, grid: Grid, factor: CovFactor, v: float,
         raise GeometryViolation(
             f"need 2 rho < min(r - v, v + r); got rho={rho}, v={v}, r={grid.r}")
     delta = shift_vector(factor, grid, v, params.gamma / 2.0)
-    x = sample_field_batch(factor, seed, N)
-    x += delta[:, None]
     all_b = gmc.region_all_bulk(grid)
     all_d = gmc.region_all_bdy(grid)
     loc_b = gmc.region_halfdisk_bulk(grid, v, rho)
     loc_d = gmc.region_interval_bdy(grid, v - rho, v + rho)
-    full = gmc.bulk_mass(x, factor, grid, params, all_b)
-    full_d = gmc.bdy_mass(x, factor, grid, params, all_d)
-    near = gmc.bulk_mass(x, factor, grid, params, loc_b)
-    near_d = gmc.bdy_mass(x, factor, grid, params, loc_d)
-    a = (full > t) / full_d
-    b = (near > t) / near_d
+
+    def terms(x):
+        x += delta[:, None]
+        full = gmc.bulk_mass(x, factor, grid, params, all_b)
+        full_d = gmc.bdy_mass(x, factor, grid, params, all_d)
+        near = gmc.bulk_mass(x, factor, grid, params, loc_b)
+        near_d = gmc.bdy_mass(x, factor, grid, params, loc_d)
+        return (full > t) / full_d, (near > t) / near_d
+
+    parts = map_field_chunks(factor, seed, N, terms)
+    a = np.concatenate([pa for pa, _ in parts])
+    b = np.concatenate([pb for _, pb in parts])
     diff = a - b
     gap = float(diff.mean())
     se = float(diff.std(ddof=1) / np.sqrt(N))

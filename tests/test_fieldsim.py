@@ -1,12 +1,15 @@
 """Grid geometry, covariance factorization, sampling, and Girsanov shifts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gmclab import fieldsim as fs
 from gmclab import kernels
-from gmclab.errors import (InvalidResolution, NotPositiveDefinite, RegionMismatch,
-                           SingularShift)
+from gmclab.errors import (ConfigInvalid, InvalidResolution,
+                           NotPositiveDefinite, RegionMismatch, SingularShift)
+from gmclab.rng import thread_count
 
 
 def test_grid_geometry_small():
@@ -109,6 +112,11 @@ def test_sampling_determinism():
     x1 = fs.sample_field_batch(f, 7, 3000)
     x2 = fs.sample_field_batch(f, 7, 3000)
     assert np.array_equal(x1, x2)
+    # the streaming chunk map yields the same fields, chunk by chunk
+    chunks = fs.map_field_chunks(f, 7, 3000, lambda x: x.copy())
+    assert [c.shape[1] for c in chunks] == [fs.SAMPLE_CHUNK,
+                                            3000 - fs.SAMPLE_CHUNK]
+    assert np.array_equal(np.concatenate(chunks, axis=1), x1)
 
 
 def test_batch_threads_invariance(monkeypatch):
@@ -118,6 +126,30 @@ def test_batch_threads_invariance(monkeypatch):
     monkeypatch.setenv("GMCLAB_THREADS", "4")
     x2 = fs.sample_field_batch(f, 9, 5000)
     assert np.array_equal(x1, x2)
+
+
+def test_thread_count_rejects_malformed_env(monkeypatch):
+    monkeypatch.delenv("GMCLAB_THREADS", raising=False)
+    assert thread_count() == 1
+    monkeypatch.setenv("GMCLAB_THREADS", "2")
+    assert thread_count() == 2
+    for bad in ("abc", "", "1.5", "0", "-3"):
+        monkeypatch.setenv("GMCLAB_THREADS", bad)
+        with pytest.raises(ConfigInvalid):
+            thread_count()
+
+
+def test_dirichlet_factor_builds_without_warnings():
+    """Coincident boundary nodes give +inf in the Dirichlet part, not nan."""
+    g = fs.build_grid(0.5, 4, 8)
+    spec = kernels.KernelSpec(kind=kernels.DIRICHLET_PART)
+    pts = g.node_points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = kernels.pairwise(spec, pts, pts)
+        fs.build_cov(g, spec)
+    assert np.all(np.isposinf(np.diag(k)))
+    assert not np.any(np.isnan(k))
 
 
 def test_empirical_covariance_matches_factor():

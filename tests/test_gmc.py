@@ -239,3 +239,25 @@ def test_measure_sample(setup):
     ms = gmc.measure_sample(x, factor, grid, params, v=0.01)
     assert ms.bulk_mass > 0 and ms.bdy_mass > 0
     assert ms.loc_bulk > 0 and ms.loc_bdy > 0 and ms.v == 0.01
+
+
+def test_tilted_masses_match_shifted_fields():
+    """Two GEMMs over e^{c x} give the masses of x + s_j for every tilt j."""
+    from gmclab.fieldsim import shift_vector
+    grid = fs.build_grid(0.5, 6, 12)
+    factor = fs.build_cov(grid)
+    params = GmcParams(1.0, 0.5)
+    shifts = np.column_stack([
+        shift_vector(factor, grid, float(v), params.gamma / 2.0)
+        for v in grid.bdy_centers])
+    x = fs.sample_field_batch(factor, 31, 300)
+    mb, md = gmc.TiltedMasses(factor, grid, params, shifts)(x.copy())
+    assert mb.shape == md.shape == (grid.n_bdy, 300)
+    for j in range(grid.n_bdy):
+        y = x + shifts[:, j:j + 1]
+        ref_b = gmc.bulk_mass(y, factor, grid, params,
+                              gmc.region_all_bulk(grid))
+        ref_d = gmc.bdy_mass(y, factor, grid, params,
+                             gmc.region_all_bdy(grid))
+        np.testing.assert_allclose(mb[j], ref_b, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(md[j], ref_d, rtol=1e-12, atol=0.0)

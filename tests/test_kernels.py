@@ -121,6 +121,21 @@ def test_pairwise_matches_scalar():
                          pts, pts)
 
 
+def test_scalar_only_perturbation_falls_back_with_log(caplog):
+    """A g that fails on broadcast points is evaluated pair by pair, and
+    the fallback is logged."""
+    pts = np.array([[0.0, 0.5], [0.3, 1.0], [-0.2, 0.0]])
+    spec = kernels.KernelSpec(kind=kernels.PERTURBED,
+                              g=lambda a, b: float(a[0] * b[0]))
+    with caplog.at_level("WARNING", logger="gmclab.kernels"):
+        mat = kernels.pairwise(spec, pts, pts)
+    assert "not vectorized" in caplog.text
+    base = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+    off = ~np.eye(3, dtype=bool)
+    np.testing.assert_allclose(mat[off], (base + np.outer(pts[:, 0],
+                                                           pts[:, 0]))[off])
+
+
 def test_kernelspec_validation():
     with pytest.raises(ValueError):
         kernels.KernelSpec(kind="nope")

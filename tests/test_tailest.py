@@ -65,6 +65,12 @@ def grid_setup():
     return grid, factor, params
 
 
+def _localized_point(params, grid, factor, t, n_per_point, seed):
+    curve = tailest.localized_survival_curve(params, grid, factor, [t],
+                                             n_per_point, seed)
+    return float(curve.phat[0]), float(curve.stderr[0])
+
+
 def test_localized_estimator_consistency(grid_setup):
     """IS and plain MC agree wherever plain MC has >= 100 exceedances."""
     grid, factor, params = grid_setup
@@ -72,16 +78,14 @@ def test_localized_estimator_consistency(grid_setup):
     t = float(np.quantile(mb, 0.90))
     p_pl = float(np.mean(mb > t))
     se_pl = np.sqrt(p_pl * (1 - p_pl) / mb.size)
-    p_is, se_is = tailest.localized_tail_estimator(params, grid, factor, t,
-                                                   20_000, 5)
+    p_is, se_is = _localized_point(params, grid, factor, t, 20_000, 5)
     assert abs(p_pl - p_is) <= 3 * np.hypot(se_pl, se_is)
 
 
 def test_localized_estimator_t_zero(grid_setup):
     """At t = 0 the indicator is always one and the identity integrates to 1."""
     grid, factor, params = grid_setup
-    p, se = tailest.localized_tail_estimator(params, grid, factor, 0.0,
-                                             20_000, 7)
+    p, se = _localized_point(params, grid, factor, 0.0, 20_000, 7)
     assert abs(p - 1.0) <= 4 * se
 
 
@@ -93,9 +97,45 @@ def test_localized_estimator_variance_win(grid_setup):
     t = float(np.quantile(mb, 0.999))
     p_pl = float(np.mean(mb > t))
     se_pl = np.sqrt(p_pl * (1 - p_pl) / n)
-    p_is, se_is = tailest.localized_tail_estimator(params, grid, factor, t,
-                                                   n // grid.n_bdy, 13)
+    p_is, se_is = _localized_point(params, grid, factor, t,
+                                   n // grid.n_bdy, 13)
     assert se_is / p_is < se_pl / p_pl
+
+
+def test_localized_curve_monotone_any_t_order(grid_setup):
+    """phat and n_exceed are nonincreasing in t, ties and t = 0 included, and
+    an unsorted t-grid gives the sorted curve's values in its own order."""
+    grid, factor, params = grid_setup
+    ts = np.array([0.0, 1.0, 2.0, 2.0, 5.0, 20.0, 80.0, 400.0, 1e12])
+    curve = tailest.localized_survival_curve(params, grid, factor, ts,
+                                             3000, 19)
+    assert np.all(np.diff(curve.phat) <= 0.0)
+    assert np.all(np.diff(curve.n_exceed) <= 0)
+    assert curve.n_exceed[0] == grid.n_bdy * 3000
+    assert curve.phat[-1] == 0.0 and curve.n_exceed[-1] == 0
+    assert curve.phat[2] == curve.phat[3]
+    perm = np.array([4, 0, 8, 2, 6, 1, 3, 7, 5])
+    shuffled = tailest.localized_survival_curve(params, grid, factor,
+                                                ts[perm], 3000, 19)
+    assert np.array_equal(shuffled.phat, curve.phat[perm])
+    assert np.array_equal(shuffled.stderr, curve.stderr[perm])
+    assert np.array_equal(shuffled.n_exceed, curve.n_exceed[perm])
+
+
+def test_localized_curve_threads_bit_exact(grid_setup, monkeypatch):
+    """Chunks run on the thread pool but reduce in chunk order."""
+    grid, factor, params = grid_setup
+    ts = np.geomspace(2.0, 2000.0, 20)
+    curves = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GMCLAB_THREADS", threads)
+        # 2500 replicas per tilt: two chunks per replica block
+        curves.append(tailest.localized_survival_curve(params, grid, factor,
+                                                       ts, 2500, 23))
+    one, two = curves
+    assert np.array_equal(one.phat, two.phat)
+    assert np.array_equal(one.stderr, two.stderr)
+    assert np.array_equal(one.n_exceed, two.n_exceed)
 
 
 def test_loglogwls_recovers_is_curve(grid_setup):
