@@ -4,14 +4,19 @@ multiplicative chaos on the upper half-plane.
 Subpackage map:
 
 - ``kernels``  closed-form covariance kernels and their analytic identities
-- ``fieldsim`` half-plane grids, dense covariance factors, field sampling,
-  Girsanov shifts
-- ``gmc``      bulk/boundary/localized GMC masses of a field realization
+- ``cellavg``  cell averages of log-singular kernels, Gauss-Legendre rules
+- ``fieldsim`` half-plane grids, dense covariance factors, streamed field
+  sampling, Girsanov shift vectors
+- ``gmc``      bulk/boundary/localized GMC masses of a field or a batch of
+  fields, and the masses of all boundary tilts at once
 - ``radial``   maximum law, conditioned paths, lateral densities and the
   radial-route integrals
-- ``tailest``  survival curves, tail fits, the boundary-localization
-  importance sampler, quotient moments, feasibility systems
+- ``tailest``  survival curves, log-log WLS tail fits, the
+  boundary-localization importance sampler, the radial constant, quotient
+  moments, feasibility systems
 - ``expcli``   experiment runner (configs, JSON records, CSV plot data, CLI)
+- ``rng``      counter-based Philox streams and the worker count
+- ``errors``   the package's exception types
 """
 
 __version__ = "0.1.0"

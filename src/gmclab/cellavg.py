@@ -7,8 +7,9 @@ singular part always reduces, after substituting difference coordinates, to
 
     E[ -ln sqrt(U^2 + V^2) ],   U, V independent triangular variables,
 
-which this module evaluates once per cell shape and caches.  Smooth remainders
-are averaged with a small tensor Gauss-Legendre rule.
+which this module evaluates once per cell shape and caches.  It also caches
+the Gauss-Legendre rules that the smooth cell integrals of ``gmc`` and
+``radial`` use.
 """
 
 from __future__ import annotations
@@ -76,20 +77,3 @@ def _gauss_nodes(n: int):
     x, w = leggauss(n)
     return x, w
 
-
-def gauss_avg(f, bounds, n: int = 6) -> float:
-    """Average of ``f`` over a box given as a sequence of (lo, hi) pairs.
-
-    ``f`` must accept one array per coordinate (broadcast over a meshgrid).
-    """
-    x, w = _gauss_nodes(n)
-    axes, weights = [], []
-    for lo, hi in bounds:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        axes.append(mid + half * x)
-        weights.append(0.5 * w)  # normalized so weights sum to 1 per axis
-    grids = np.meshgrid(*axes, indexing="ij")
-    vals = f(*grids)
-    for wi in reversed(weights):
-        vals = vals @ wi
-    return float(vals)

@@ -147,34 +147,28 @@ def _diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
     return diag
 
 
-def build_cov(grid: Grid, kernel: Optional[kernels.KernelSpec] = None,
-              coupling_bdy: bool = True) -> CovFactor:
+def build_cov(grid: Grid,
+              kernel: Optional[kernels.KernelSpec] = None) -> CovFactor:
     """Assemble and factor the node covariance for the given kernel.
 
-    Off-diagonal entries are kernel values at node centers (bulk/boundary
-    cross blocks included unless ``coupling_bdy`` is False, which zeroes them
-    for diagnostics); diagonal entries are exact cell averages.  Escalating
-    diagonal jitter is added until Cholesky succeeds.
+    Off-diagonal entries are kernel values at node centers, bulk/boundary
+    cross blocks included; diagonal entries are exact cell averages.
+    ``kernels.pairwise`` is exactly symmetric, so the matrix needs no
+    symmetrization.  Escalating diagonal jitter is added until Cholesky
+    succeeds.
 
     The boundary restriction -2 ln|x - y| is defined on the real line only,
     so for that kind only the boundary block is assembled and factored: the
-    factor has ``dim == grid.n_bdy``, boundary nodes in grid order, and
-    ``coupling_bdy`` has no effect.
+    factor has ``dim == grid.n_bdy``, boundary nodes in grid order.
     """
     if kernel is None:
         kernel = kernels.KernelSpec()
     pts = grid.node_points()
-    bdy_only = kernel.kind == kernels.BOUNDARY_RESTRICTION
-    if bdy_only:
+    if kernel.kind == kernels.BOUNDARY_RESTRICTION:
         pts = pts[grid.n_bulk_cells:]
     dim = len(pts)
     cov = kernels.pairwise(kernel, pts, pts)
     cov[np.arange(dim), np.arange(dim)] = _diag_cell_averages(grid, kernel)
-    if not coupling_bdy and not bdy_only:
-        nb2 = grid.n_bulk_cells
-        cov[:nb2, nb2:] = 0.0
-        cov[nb2:, :nb2] = 0.0
-    cov = 0.5 * (cov + cov.T)
 
     base = 1e-12 * np.trace(cov) / dim
     cap = 1e-6 * np.max(np.abs(cov))
@@ -205,21 +199,6 @@ def check_node_factor(factor: CovFactor, grid: Grid) -> None:
         raise RegionMismatch(
             f"factor has dim {factor.dim} but the grid has {grid.n_nodes} "
             f"nodes ({factor.kernel.kind} factor)")
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One realization of the discretized field (bulk nodes then boundary)."""
-
-    values: np.ndarray
-    seed: int
-    shift: Optional[np.ndarray] = None
-
-
-def sample_field(factor: CovFactor, seed: int) -> FieldSample:
-    """Draw one field: L @ (standard normals from the Philox stream of seed)."""
-    z = stream_generator(seed, 0).standard_normal(factor.dim)
-    return FieldSample(values=factor.lower_factor @ z, seed=seed)
 
 
 def map_field_chunks(factor: CovFactor, seed: int, n: int,
@@ -295,10 +274,3 @@ def shift_vector(factor: CovFactor, grid: Grid, v: float, charge: float) -> np.n
     col[grid.n_bulk_cells + j] = avg
     return charge * col
 
-
-def girsanov_shift(field: FieldSample, factor: CovFactor, grid: Grid,
-                   v: float, charge: float) -> FieldSample:
-    """Tilt a realization toward a boundary point: values += charge * K(., v)."""
-    delta = shift_vector(factor, grid, v, charge)
-    total = delta if field.shift is None else field.shift + delta
-    return FieldSample(values=field.values + delta, seed=field.seed, shift=total)

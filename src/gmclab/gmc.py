@@ -28,16 +28,13 @@ the returned metadata rather than raised as an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .cellavg import _gauss_nodes
 from .errors import RegionMismatch, SupercriticalWeight
-from .fieldsim import CovFactor, FieldSample, Grid, check_node_factor
-
-ArrayOrField = Union[FieldSample, np.ndarray]
+from .fieldsim import CovFactor, Grid, check_node_factor
 
 
 @dataclass(frozen=True)
@@ -52,17 +49,6 @@ class GmcParams:
             raise ValueError(f"gamma must lie in (0, 2), got {self.gamma}")
         if not self.r > 0:
             raise ValueError(f"r must be positive, got {self.r}")
-
-
-@dataclass(frozen=True)
-class MeasureSample:
-    """Bulk/boundary masses of one realization, with optional localized pair."""
-
-    bulk_mass: float
-    bdy_mass: float
-    loc_bulk: Optional[float] = None
-    loc_bdy: Optional[float] = None
-    v: Optional[float] = None
 
 
 # --- regions ----------------------------------------------------------------
@@ -116,10 +102,6 @@ def _check_region(region, n_max, what):
     return region
 
 
-def _values(field: ArrayOrField) -> np.ndarray:
-    return field.values if isinstance(field, FieldSample) else np.asarray(field)
-
-
 def _renorm_exp(vals, diag, coupling):
     """exp(c X - c^2/2 Var X) for selected nodes, broadcasting over replicas."""
     d = diag.reshape((-1,) + (1,) * (vals.ndim - 1))
@@ -152,41 +134,52 @@ def bulk_weights(grid: Grid, params: GmcParams) -> np.ndarray:
     return grid.dx * integ
 
 
-def bulk_mass(field: ArrayOrField, factor: CovFactor, grid: Grid,
-              params: GmcParams, region, cell_fractions=None):
+def _mass(field, factor: CovFactor, grid: Grid, params: GmcParams, region,
+          bdy: bool, weights):
+    """sum_i w_i exp(c X_i - c^2/2 Var X_i) over a bulk or boundary region.
+
+    The coupling c is gamma on bulk cells and gamma/2 on boundary segments;
+    ``weights(region)`` gives w for the checked region indices.  ``field`` is
+    one realization (dim,), giving a float, or a (dim, n) batch, giving n
+    masses.
+    """
+    check_node_factor(factor, grid)
+    if bdy:
+        region = _check_region(region, grid.n_bdy, "boundary")
+        idx, coupling = grid.n_bulk_cells + region, params.gamma / 2.0
+    else:
+        region = _check_region(region, grid.n_bulk_cells, "bulk")
+        idx, coupling = region, params.gamma
+    w = weights(region)
+    vals = np.asarray(field)
+    if not region.size:
+        out = np.zeros(vals.shape[1:])
+    else:
+        ex = _renorm_exp(vals[idx], factor.diag_var[idx], coupling)
+        out = np.einsum("i,i...->...", w, ex)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def bulk_mass(field, factor: CovFactor, grid: Grid, params: GmcParams,
+              region):
     """Bulk GMC mass over a set of bulk cells.
 
     For an unshifted field the expectation is exactly the sum of the cell
     weights (the discrete renormalization identity).
     """
-    check_node_factor(factor, grid)
-    region = _check_region(region, grid.n_bulk_cells, "bulk")
-    w = bulk_weights(grid, params)[region]
-    if cell_fractions is not None:
-        w = w * np.asarray(cell_fractions)
-    _require_finite_bulk_weights(w)
-    vals = _values(field)
-    if not region.size:
-        out = np.zeros(vals.shape[1:])
-    else:
-        ex = _renorm_exp(vals[region], factor.diag_var[region], params.gamma)
-        out = np.einsum("i,i...->...", w, ex)
-    return float(out) if np.ndim(out) == 0 else out
+    def weights(cells):
+        w = bulk_weights(grid, params)[cells]
+        _require_finite_bulk_weights(w)
+        return w
+
+    return _mass(field, factor, grid, params, region, False, weights)
 
 
-def bdy_mass(field: ArrayOrField, factor: CovFactor, grid: Grid,
-             params: GmcParams, interval):
+def bdy_mass(field, factor: CovFactor, grid: Grid, params: GmcParams,
+             interval):
     """Boundary GMC mass (coupling gamma/2) over a set of segments."""
-    check_node_factor(factor, grid)
-    interval = _check_region(interval, grid.n_bdy, "boundary")
-    idx = grid.n_bulk_cells + interval
-    vals = _values(field)
-    if not interval.size:
-        out = np.zeros(vals.shape[1:])
-    else:
-        ex = _renorm_exp(vals[idx], factor.diag_var[idx], params.gamma / 2.0)
-        out = grid.seg_len * ex.sum(axis=0)
-    return float(out) if np.ndim(out) == 0 else out
+    return _mass(field, factor, grid, params, interval, True,
+                 lambda segs: np.full(segs.size, grid.seg_len))
 
 
 class TiltedMasses:
@@ -327,24 +320,24 @@ def localized_bulk_cell_integrals(grid: Grid, params: GmcParams, v: float,
     return out, meta
 
 
-def localized_bulk_mass(field: ArrayOrField, factor: CovFactor, grid: Grid,
+def localized_bulk_mass(field, factor: CovFactor, grid: Grid,
                         params: GmcParams, v: float, region,
-                        cell_fractions=None, tol: float = 1e-3):
-    """Localized bulk mass: bulk_mass with the extra |z - v|^{-gamma^2} weight."""
-    check_node_factor(factor, grid)
+                        cell_fractions=None):
+    """Localized bulk mass: bulk_mass with the extra |z - v|^{-gamma^2} weight.
+
+    ``cell_fractions`` scales each cell's weight by the fraction of it that
+    lies in the region (see ``region_halfdisk_bulk``).
+    """
     if not abs(v) < grid.r:
         raise ValueError(f"|v| must be < r, got v={v}")
-    region = _check_region(region, grid.n_bulk_cells, "bulk")
-    w, _ = localized_bulk_cell_integrals(grid, params, v, region, tol=tol)
-    if cell_fractions is not None:
-        w = w * np.asarray(cell_fractions)
-    vals = _values(field)
-    if not region.size:
-        out = np.zeros(vals.shape[1:])
-    else:
-        ex = _renorm_exp(vals[region], factor.diag_var[region], params.gamma)
-        out = np.einsum("i,i...->...", w, ex)
-    return float(out) if np.ndim(out) == 0 else out
+
+    def weights(cells):
+        w, _ = localized_bulk_cell_integrals(grid, params, v, cells)
+        if cell_fractions is not None:
+            w = w * np.asarray(cell_fractions)
+        return w
+
+    return _mass(field, factor, grid, params, region, False, weights)
 
 
 def localized_bdy_segment_integrals(grid: Grid, params: GmcParams, v: float,
@@ -388,35 +381,11 @@ def localized_bdy_segment_integrals(grid: Grid, params: GmcParams, v: float,
     return out, meta
 
 
-def localized_bdy_mass(field: ArrayOrField, factor: CovFactor, grid: Grid,
-                       params: GmcParams, v: float, interval,
-                       return_meta: bool = False):
+def localized_bdy_mass(field, factor: CovFactor, grid: Grid,
+                       params: GmcParams, v: float, interval):
     """Localized boundary mass: bdy_mass with the |w - v|^{-gamma^2/2} weight."""
-    check_node_factor(factor, grid)
     if not abs(v) < grid.r:
         raise ValueError(f"|v| must be < r, got v={v}")
-    interval = _check_region(interval, grid.n_bdy, "boundary")
-    w, meta = localized_bdy_segment_integrals(grid, params, v, interval)
-    idx = grid.n_bulk_cells + interval
-    vals = _values(field)
-    if not interval.size:
-        out = np.zeros(vals.shape[1:])
-    else:
-        ex = _renorm_exp(vals[idx], factor.diag_var[idx], params.gamma / 2.0)
-        out = np.einsum("i,i...->...", w, ex)
-    out = float(out) if np.ndim(out) == 0 else out
-    return (out, meta) if return_meta else out
-
-
-def measure_sample(field: ArrayOrField, factor: CovFactor, grid: Grid,
-                   params: GmcParams, v: Optional[float] = None) -> MeasureSample:
-    """Bulk and boundary masses of the full cube, optionally localized at v."""
-    mb = bulk_mass(field, factor, grid, params, region_all_bulk(grid))
-    md = bdy_mass(field, factor, grid, params, region_all_bdy(grid))
-    if v is None:
-        return MeasureSample(bulk_mass=mb, bdy_mass=md)
-    lb = localized_bulk_mass(field, factor, grid, params, v,
-                             region_all_bulk(grid))
-    ld = localized_bdy_mass(field, factor, grid, params, v,
-                            region_all_bdy(grid))
-    return MeasureSample(bulk_mass=mb, bdy_mass=md, loc_bulk=lb, loc_bdy=ld, v=v)
+    return _mass(field, factor, grid, params, interval, True,
+                 lambda segs: localized_bdy_segment_integrals(
+                     grid, params, v, segs)[0])

@@ -147,25 +147,6 @@ def eval_lateral(t: float, theta: float, t2: float, theta2: float) -> float:
     return float(lateral_cov(t, theta, t2, theta2))
 
 
-def evaluate(spec: KernelSpec, a, b) -> float:
-    """Dispatch on ``spec.kind``; a, b are points of the kernel's domain.
-
-    Planar kernels take (x, y) pairs, the boundary restriction accepts either
-    reals or (x, 0) pairs, the lateral kernel takes (t, theta) pairs.
-    """
-    if spec.kind == EXACT_SCALING_NEUMANN:
-        return eval_neumann(a, b)
-    if spec.kind == DIRICHLET_PART:
-        return eval_dirichlet(a, b)
-    if spec.kind == BOUNDARY_RESTRICTION:
-        ax = a[0] if np.ndim(a) else a
-        bx = b[0] if np.ndim(b) else b
-        return eval_boundary(ax, bx)
-    if spec.kind == LATERAL:
-        return eval_lateral(a[0], a[1], b[0], b[1])
-    return eval_perturbed(a, b, spec.g)
-
-
 def _g_matrix(g: Callable, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     za = pts_a[:, None, :]
     zb = pts_b[None, :, :]
@@ -203,14 +184,23 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
             np.any(pts_a[:, 1] != 0.0) or np.any(pts_b[:, 1] != 0.0)):
         raise ValueError("the boundary restriction is defined on the real "
                          "line only; got points with y != 0")
+    ya, yb = pts_a[:, 1][:, None], pts_b[:, 1][None, :]
+    # every n x n temporary is computed in place or freed once used: at the
+    # dense node ceiling each one is about 110 MB
     dx = pts_a[:, 0][:, None] - pts_b[:, 0][None, :]
-    dy = pts_a[:, 1][:, None] - pts_b[:, 1][None, :]
-    sy = pts_a[:, 1][:, None] + pts_b[:, 1][None, :]
-    d_direct = np.hypot(dx, dy)
-    d_image = np.hypot(dx, sy)
+    d_direct = np.subtract(ya, yb)
+    np.hypot(dx, d_direct, out=d_direct)
+    d_image = np.add(ya, yb)
+    np.hypot(dx, d_image, out=d_image)
+    del dx
     with np.errstate(divide="ignore"):
-        if spec.kind == EXACT_SCALING_NEUMANN:
-            return -np.log(d_direct) - np.log(d_image)
+        if spec.kind in (EXACT_SCALING_NEUMANN, PERTURBED):
+            # -ln d_direct - ln d_image (+ g)
+            out = np.negative(np.log(d_direct, out=d_direct), out=d_direct)
+            out -= np.log(d_image, out=d_image)
+            if spec.kind == PERTURBED:
+                out += _g_matrix(spec.g, pts_a, pts_b)
+            return out
         if spec.kind == DIRICHLET_PART:
             # coincident boundary points would give inf - inf
             out = np.full(d_direct.shape, np.inf)
@@ -219,9 +209,6 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
             return out
         if spec.kind == BOUNDARY_RESTRICTION:
             return -2.0 * np.log(d_image)
-        if spec.kind == PERTURBED:
-            base = -np.log(d_direct) - np.log(d_image)
-            return base + _g_matrix(spec.g, pts_a, pts_b)
     raise ValueError(f"pairwise evaluation not defined for kind {spec.kind!r}")
 
 

@@ -16,7 +16,9 @@ weighted lateral GMC density and Z_bdy the two boundary-ray densities.
 
 Samplers:
 
-- M by exact inverse-CDF (so the maximum law is machine-exact);
+- M by exact inverse-CDF on one Philox stream (so the maximum law is
+  machine-exact); ``sample_max``, ``sample_max_standard`` and the joint
+  sampler share this one exponential draw;
 - conditioned-negative paths by an epsilon-start h-transform whose ds-steps
   are drawn by exact rejection against the killed Gaussian kernel (accept
   probability (1 - e^{-2 x y / sigma^2 ds})(1 - e^{lambda y})), giving
@@ -26,6 +28,10 @@ Samplers:
   embedding spectrum is nonnegative, which is checked;
 - cell-averaged diagonal variances so every renormalized exponential has
   mean one by construction.
+
+``RadialSampler.sample_joint`` returns the integral pairs I(M) and
+I(infinity) per draw; ``compute_I`` on ``williams_concatenate`` paths and
+``LateralModel.sample`` densities gives I(x) at any other cutoff.
 """
 
 from __future__ import annotations
@@ -66,15 +72,20 @@ class DriftSpec:
 
 # --- maximum law -------------------------------------------------------------
 
+def _exp_draw(rate: float, seed: int, stream: int, n: int) -> np.ndarray:
+    """n Exponential(rate) draws by inverse CDF on the Philox uniforms of
+    ``(seed, stream)``: exact in law and a pure function of the stream."""
+    u = stream_generator(seed, stream).random(n)
+    return -np.log1p(-u) / rate
+
+
 def sample_max(spec: DriftSpec, seed: int, n: Optional[int] = None):
     """Maximum of the radial drifted motion: Exponential(2/gamma - gamma/2).
 
     Inverse-CDF on Philox uniforms, so the law is exact and the draw is a pure
     function of the seed.  P[e^{gamma M} > t] = t^{-(2/gamma^2 - 1/2)}.
     """
-    rng = stream_generator(seed, 0)
-    u = rng.random(n if n is not None else 1)
-    m = -np.log1p(-u) / spec.alpha
+    m = _exp_draw(spec.alpha, seed, 0, n if n is not None else 1)
     return m if n is not None else float(m[0])
 
 
@@ -85,9 +96,7 @@ def sample_max_standard(alpha: float, seed: int, n: Optional[int] = None):
     """
     if alpha <= 0:
         raise ValueError("drift alpha must be positive")
-    rng = stream_generator(seed, 0)
-    u = rng.random(n if n is not None else 1)
-    m = -np.log1p(-u) / (2.0 * alpha)
+    m = _exp_draw(2.0 * alpha, seed, 0, n if n is not None else 1)
     return m if n is not None else float(m[0])
 
 
@@ -406,13 +415,6 @@ class LateralModel:
         return err
 
 
-def sample_lateral(T: float, ds: float, n_theta: int, gamma: float, seed: int,
-                   n: int = 1, return_field: bool = False):
-    """One-shot lateral sampler (builds a throwaway LateralModel)."""
-    model = LateralModel(gamma=gamma, T=T, ds=ds, n_theta=n_theta)
-    return model.sample(seed, n, return_field=return_field)
-
-
 # --- integrals ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -529,8 +531,9 @@ class RadialSampler:
 
     One instance owns an immutable LateralModel (shareable across threads) and
     produces independent samples of the integral pairs I(M) and I(infinity).
-    Streams: chunk c of a draw uses Philox streams (4c..4c+3) for lateral,
-    descent, ascent, and (M, N_rho) respectively.
+    Streams: chunk c of a draw uses ``STREAMS_PER_CHUNK`` consecutive Philox
+    streams from c * STREAMS_PER_CHUNK: ``LATERAL_STREAMS`` for the lateral
+    field, then one each for the descent, the ascent and M.
     """
 
     PATH_CHUNK = 4096
@@ -548,18 +551,11 @@ class RadialSampler:
         self.lateral = LateralModel(gamma=gamma, T=self.T, ds=config.ds,
                                     n_theta=config.n_theta)
 
-    def sample_joint(self, seed: int, n: int, want_truncated: bool = True,
-                     keep_paths: bool = False):
-        """Dict of arrays: M, IH_inf, Ibdy_inf (+ IH_M, Ibdy_M), bounds.
-
-        With ``keep_paths`` the dict also carries the TwoSidedPath over all
-        draws plus the Z_H / Z_bdy matrices (memory scales with n * n_s).
-        """
+    def sample_joint(self, seed: int, n: int, want_truncated: bool = True):
+        """Dict of arrays: M, IH_inf, Ibdy_inf (+ IH_M, Ibdy_M), bounds."""
         cfg = self.config
         out = {k: [] for k in ("M", "IH_inf", "Ibdy_inf", "IH_M", "Ibdy_M",
                                "bound_H", "bound_bdy")}
-        kept_b, kept_zh, kept_zbdy = [], [], []
-        s_grid = None
         for c, size in enumerate(chunk_sizes(n, self.PATH_CHUNK)):
             base = c * self.STREAMS_PER_CHUNK
             zh, zbdy = self.lateral.sample(seed, size, stream_offset=base)
@@ -569,8 +565,8 @@ class RadialSampler:
             t_a, asc = sample_conditioned_path(self.spec, self.T, cfg.ds,
                                                cfg.eps, seed, size,
                                                stream=base + self.LATERAL_STREAMS + 1)
-            rng = stream_generator(seed, base + self.LATERAL_STREAMS + 2)
-            m = -np.log1p(-rng.random(size)) / self.spec.alpha
+            m = _exp_draw(self.spec.alpha, seed,
+                          base + self.LATERAL_STREAMS + 2, size)
             path = williams_concatenate(m, (t_a, desc), (t_a, asc))
             pair_inf = compute_I(path, zh, zbdy, np.inf, self.gamma,
                                  ez_h=self.lateral.ez_h)
@@ -584,60 +580,7 @@ class RadialSampler:
                                    ez_h=self.lateral.ez_h)
                 out["IH_M"].append(pair_m.IH)
                 out["Ibdy_M"].append(pair_m.Ibdy)
-            if keep_paths:
-                s_grid = path.s
-                kept_b.append(path.b if np.ndim(path.b) == 2
-                              else np.asarray(path.b)[:, None])
-                kept_zh.append(zh)
-                kept_zbdy.append(zbdy)
-        result = {k: np.concatenate(v) if v else np.empty(0)
-                  for k, v in out.items() if v}
-        if keep_paths:
-            result["path"] = TwoSidedPath(s=s_grid,
-                                          b=np.concatenate(kept_b, axis=1),
-                                          M=result["M"])
-            result["ZH"] = np.concatenate(kept_zh, axis=1)
-            result["Zbdy"] = np.concatenate(kept_zbdy, axis=1)
-        return result
-
-
-@dataclass(frozen=True)
-class RadialSample:
-    """One joint draw of every radial-route object.
-
-    ``IH_of_x`` / ``Ibdy_of_x`` tabulate the cutoff integrals on ``x_grid``
-    (nondecreasing in x by construction); the last row uses x = inf.
-    """
-
-    M: float
-    path: TwoSidedPath
-    ZH: np.ndarray
-    Zbdy: np.ndarray
-    IH_of_x: np.ndarray    # (len(x_grid) + 1,)
-    Ibdy_of_x: np.ndarray
-    x_grid: np.ndarray
-    seed: int
-
-
-def draw_radial_sample(gamma: float, seed: int,
-                       config: RadialConfig = RadialConfig(),
-                       x_grid=(0.5, 1.0, 2.0, 4.0),
-                       sampler: Optional[RadialSampler] = None) -> RadialSample:
-    """Single fully-materialized radial sample (diagnostics, demos, tests)."""
-    if sampler is None:
-        sampler = RadialSampler(gamma, config)
-    d = sampler.sample_joint(seed, 1, want_truncated=False, keep_paths=True)
-    xs = np.asarray(x_grid, dtype=float)
-    ih = np.empty(xs.size + 1)
-    ib = np.empty(xs.size + 1)
-    for k, x in enumerate([*xs, np.inf]):
-        pair = compute_I(d["path"], d["ZH"], d["Zbdy"], float(x), gamma,
-                         ez_h=sampler.lateral.ez_h)
-        ih[k] = pair.IH[0]
-        ib[k] = pair.Ibdy[0]
-    return RadialSample(M=float(d["M"][0]), path=d["path"], ZH=d["ZH"],
-                        Zbdy=d["Zbdy"], IH_of_x=ih, Ibdy_of_x=ib,
-                        x_grid=xs, seed=seed)
+        return {k: np.concatenate(v) for k, v in out.items() if v}
 
 
 def radial_bulk_mass(params, rho: float, seed: int,

@@ -38,13 +38,19 @@ from scipy import integrate
 from . import gmc
 from .errors import (ConfigInvalid, DegenerateWindow, EmptySample,
                      GeometryViolation, Infeasible, QuadratureUnstable)
-from .fieldsim import CovFactor, Grid, map_field_chunks, shift_vector
+from .fieldsim import (CovFactor, Grid, build_cov, build_grid,
+                       map_field_chunks, shift_vector)
 from .gmc import GmcParams
-from .radial import RadialConfig, RadialSampler, compute_I
+from .radial import RadialSampler
 from .rng import stream_generator
 
-LOGLOG_WLS = "LogLogWLS"
-HILL = "Hill"
+# radial-constant bootstrap resamples and trimmed upper fraction
+N_BOOT = 400
+TRIM = 1e-3
+# quotient_rho_scan: geometrically similar grids with r = R_OVER_RHO * rho
+RHO_SCAN_N_BULK = 24
+RHO_SCAN_N_BDY = 24
+R_OVER_RHO = 1.25
 
 
 # --- survival curves ----------------------------------------------------------
@@ -94,77 +100,52 @@ class TailFit:
     stderr_constant: float
     t_window: tuple
     n_points: int
-    method: str
 
 
-def _wls_loglog(ts, ps, ses, window):
-    t_min, t_max = window
-    ts = np.asarray(ts, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    ses = np.asarray(ses, dtype=float)
-    keep = (ts >= t_min) & (ts <= t_max) & (ps > 0.0) & (ps < 1.0) & (ses > 0.0)
-    if keep.sum() < 8:
-        raise DegenerateWindow(
-            f"only {int(keep.sum())} usable curve points in window {window}")
-    x = np.log(ts[keep])
-    y = np.log(ps[keep])
-    w = (ps[keep] / ses[keep]) ** 2  # inverse variance of ln phat
+def _wls_loglog(xs, ys, ses):
+    """Weighted least-squares line ln y = intercept + slope ln x.
+
+    The weights (y / se)^2 are the inverse variances of ln y.  Returns
+    (slope, intercept, slope stderr, intercept stderr).
+    """
+    x = np.log(xs)
+    y = np.log(ys)
+    w = (ys / ses) ** 2
     sw = w.sum()
     xb = (w * x).sum() / sw
     yb = (w * y).sum() / sw
     sxx = (w * (x - xb) ** 2).sum()
     slope = (w * (x - xb) * (y - yb)).sum() / sxx
-    inter = yb - slope * xb
-    se_slope = np.sqrt(1.0 / sxx)
-    se_inter = np.sqrt(1.0 / sw + xb ** 2 / sxx)
-    return TailFit(exponent=float(-slope), constant=float(np.exp(inter)),
-                   stderr_exponent=float(se_slope),
-                   stderr_constant=float(np.exp(inter) * se_inter),
-                   t_window=(float(t_min), float(t_max)),
-                   n_points=int(keep.sum()), method=LOGLOG_WLS)
+    return (slope, yb - slope * xb, np.sqrt(1.0 / sxx),
+            np.sqrt(1.0 / sw + xb ** 2 / sxx))
 
 
-def _hill(samples, window):
-    t_min, t_max = window
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size < 1000:
-        raise DegenerateWindow("Hill estimator wants at least 1e3 samples")
-    x = x[(x > 0)]
-    k = int(np.sum(x > t_min))
-    k = min(k, x.size - 1)
-    if k < 10:
-        raise DegenerateWindow(f"only {k} exceedances above t_min={t_min}")
-    tail = x[-k:]
-    x_k = x[-k - 1]
-    alpha = 1.0 / np.mean(np.log(tail) - np.log(x_k))
-    se = alpha / np.sqrt(k)
-    # Pareto head through the k-th order statistic
-    const = (k / x.size) * x_k ** alpha
-    se_const = const * np.sqrt(1.0 / k + (np.log(x_k) * se) ** 2)
-    return TailFit(exponent=float(alpha), constant=float(const),
-                   stderr_exponent=float(se), stderr_constant=float(se_const),
-                   t_window=(float(t_min), float(t_max)), n_points=int(k),
-                   method=HILL)
+def fit_tail(data, window) -> TailFit:
+    """Fit exponent and constant of a power tail by log-log WLS.
 
-
-def fit_tail(data, window, method: str = LOGLOG_WLS) -> TailFit:
-    """Fit exponent and constant of a power tail.
-
-    ``data`` is either a survival curve (sequence of (t, phat, stderr) or a
-    WeightedSurvival) for LogLogWLS, or raw samples for Hill.  The exponent is
-    reported positive: P ~ constant * t^{-exponent}.
+    ``data`` is a survival curve: a sequence of (t, phat, stderr) or a
+    WeightedSurvival.  Curve points inside ``window`` with 0 < phat < 1 and
+    stderr > 0 enter the fit.  The exponent is reported positive:
+    P ~ constant * t^{-exponent}.
     """
     t_min, t_max = window
     if not t_min < t_max:
         raise DegenerateWindow(f"empty window {window}")
-    if method == LOGLOG_WLS:
-        if isinstance(data, WeightedSurvival):
-            return _wls_loglog(data.ts, data.phat, data.stderr, window)
-        arr = np.asarray(list(data), dtype=float)
-        return _wls_loglog(arr[:, 0], arr[:, 1], arr[:, 2], window)
-    if method == HILL:
-        return _hill(np.asarray(data, dtype=float), window)
-    raise ConfigInvalid(f"unknown fit method {method!r}")
+    if isinstance(data, WeightedSurvival):
+        ts, ps, ses = data.ts, data.phat, data.stderr
+    else:
+        ts, ps, ses = np.asarray(list(data), dtype=float).T
+    keep = (ts >= t_min) & (ts <= t_max) & (ps > 0.0) & (ps < 1.0) & (ses > 0.0)
+    if keep.sum() < 8:
+        raise DegenerateWindow(
+            f"only {int(keep.sum())} usable curve points in window {window}")
+    slope, inter, se_slope, se_inter = _wls_loglog(ts[keep], ps[keep],
+                                                   ses[keep])
+    return TailFit(exponent=float(-slope), constant=float(np.exp(inter)),
+                   stderr_exponent=float(se_slope),
+                   stderr_constant=float(np.exp(inter) * se_inter),
+                   t_window=(float(t_min), float(t_max)),
+                   n_points=int(keep.sum()))
 
 
 def fixed_exponent_constant(curve: WeightedSurvival, exponent: float, window):
@@ -173,6 +154,11 @@ def fixed_exponent_constant(curve: WeightedSurvival, exponent: float, window):
     Weighted mean of phat * t^exponent over the window; the anchored constant
     is what cross-route comparisons use (a free-exponent fit leaks exponent
     error through the window's distance from t = 1).
+
+    The returned spread is max(noise floor, weighted scatter of
+    phat * t^exponent over the window).  When the curve bends across the
+    window the scatter term dominates, and it then measures that curvature,
+    not Monte Carlo noise, so it is not a sampling error bar.
     """
     t_min, t_max = window
     keep = (curve.ts >= t_min) & (curve.ts <= t_max) & (curve.phat > 0) \
@@ -296,45 +282,41 @@ class ConstantEstimate:
 
 
 def estimate_constant_radial(params: GmcParams, N: int, seed: int,
-                             config: RadialConfig = RadialConfig(),
-                             sampler: Optional[RadialSampler] = None,
-                             n_boot: int = 400,
-                             trim: float = 1e-3,
                              draws: Optional[dict] = None) -> ConstantEstimate:
     """Monte Carlo estimate of C = 2r (1-gamma^2/4) E[IH(inf)^{2/g^2}/Ibdy(inf)].
 
-    The integrand has finite mean but infinite variance near gamma = 1, so a
-    bootstrap percentile interval and a trimmed mean (upper ``trim`` fraction
-    removed) accompany the plain average.
+    ``draws`` come from ``RadialSampler.sample_joint``; without them N draws
+    are made with the default ``RadialConfig``.  The integrand has finite
+    mean but infinite variance near gamma = 1, so a bootstrap percentile
+    interval (``N_BOOT`` resamples) and a trimmed mean (upper ``TRIM``
+    fraction removed) accompany the plain average.
     """
     g = params.gamma
-    if sampler is None and draws is None:
-        sampler = RadialSampler(g, config)
     if draws is None:
-        draws = sampler.sample_joint(seed, N, want_truncated=False)
+        draws = RadialSampler(g).sample_joint(seed, N, want_truncated=False)
     N = draws["IH_inf"].size
     q = draws["IH_inf"] ** (2.0 / g ** 2) / draws["Ibdy_inf"]
     pref = tail_constant_prefactor(g, params.r)
     est = pref * float(q.mean())
     se = pref * float(q.std(ddof=1) / np.sqrt(N))
     rng = stream_generator(seed, 2 ** 33)
-    idx = rng.integers(0, N, size=(n_boot, N))
+    idx = rng.integers(0, N, size=(N_BOOT, N))
     boot = pref * q[idx].mean(axis=1)
     lo, hi = np.quantile(boot, [0.025, 0.975])
-    cut = np.quantile(q, 1.0 - trim)
+    cut = np.quantile(q, 1.0 - TRIM)
     trimmed = pref * float(q[q <= cut].mean())
     rel = draws["bound_H"] / np.maximum(draws["IH_inf"], 1e-300)
     return ConstantEstimate(estimate=est, stderr=se, ci_low=float(lo),
                             ci_high=float(hi), trimmed_estimate=trimmed,
-                            trim_fraction=trim, n=N,
+                            trim_fraction=TRIM, n=N,
                             max_trunc_rel=float(rel.max()),
                             mean_trunc_rel=float(rel.mean()))
 
 
-def radial_constant_curve(params: GmcParams, ts, seed: int,
-                          draws: dict, rho: Optional[float] = None):
+def radial_constant_curve(params: GmcParams, ts, seed: int, draws: dict):
     """Finite-t constant curve c(t) = 2r t^{2/g^2} E[1{mass > t}/bdy mass]
-    from the radial representation of the half-disk localized measures.
+    from the radial representation of the measures localized to the
+    half-disk of radius rho = r.
 
     ``draws`` must come from ``sample_joint(..., want_truncated=True)``.  The
     curve rises toward the asymptotic tail constant as t grows; evaluated at
@@ -342,9 +324,9 @@ def radial_constant_curve(params: GmcParams, ts, seed: int,
     scales.  Returns rows of (t, c(t), stderr).
     """
     g = params.gamma
-    rho = params.r if rho is None else rho
+    rho = params.r
     if not (0.0 < rho < 1.0):
-        raise ValueError("finite-t curve needs rho in (0, 1)")
+        raise ValueError(f"finite-t curve needs r in (0, 1), got r={rho}")
     n = draws["M"].size
     rng = stream_generator(seed, 2 ** 40)
     n_rho = np.sqrt(-2.0 * np.log(rho)) * rng.standard_normal(n)
@@ -389,9 +371,7 @@ class QuotientMomentEstimate:
 
 def estimate_quotient_moment(p: float, q: float, gamma: float, mode: str,
                              N: int, seed: int,
-                             config: RadialConfig = RadialConfig(),
                              sampler: Optional[RadialSampler] = None,
-                             x: Optional[float] = None,
                              grid: Optional[Grid] = None,
                              factor: Optional[CovFactor] = None,
                              params: Optional[GmcParams] = None,
@@ -400,7 +380,8 @@ def estimate_quotient_moment(p: float, q: float, gamma: float, mode: str,
                              keep_running: bool = False) -> QuotientMomentEstimate:
     """MC estimate of a bulk/boundary quotient moment.
 
-    mode="radial": E[IH(x)^p / Ibdy(x)^q] (x = None means infinity).
+    mode="radial": E[IH(inf)^p / Ibdy(inf)^q] from ``sampler`` (a default
+    ``RadialSampler`` when None).
     mode="grid":   E[mu^H_v(A)^p / mu^bdy_v(I)^q] with A, I the half-disk and
     interval of radius ``rho`` at ``v`` (region="ball") or their complements
     in Q_r (region="complement"), under the plain field law.
@@ -409,16 +390,9 @@ def estimate_quotient_moment(p: float, q: float, gamma: float, mode: str,
         raise ValueError("p, q must be nonnegative")
     if mode == "radial":
         if sampler is None:
-            sampler = RadialSampler(gamma, config)
-        if x is None:
-            draws = sampler.sample_joint(seed, N, want_truncated=False)
-            vals = draws["IH_inf"] ** p / draws["Ibdy_inf"] ** q
-        else:
-            draws = sampler.sample_joint(seed, N, want_truncated=False,
-                                         keep_paths=True)
-            pair = compute_I(draws["path"], draws["ZH"], draws["Zbdy"],
-                             float(x), gamma, ez_h=sampler.lateral.ez_h)
-            vals = pair.IH ** p / pair.Ibdy ** q
+            sampler = RadialSampler(gamma)
+        draws = sampler.sample_joint(seed, N, want_truncated=False)
+        vals = draws["IH_inf"] ** p / draws["Ibdy_inf"] ** q
     elif mode == "grid":
         if grid is None or factor is None or params is None or rho is None:
             raise ConfigInvalid("grid mode needs grid, factor, params, rho")
@@ -435,26 +409,6 @@ def estimate_quotient_moment(p: float, q: float, gamma: float, mode: str,
                                   finite_predicted=quotient_finite_predicted(
                                       p, q, gamma),
                                   mode=mode, running_mean=running)
-
-
-def quotient_x_sweep(sampler: RadialSampler, xs: Sequence[float], p: float,
-                     q: float, N: int, seed: int):
-    """E[IH(x)^p / Ibdy(x)^q] over a sweep of cutoffs from shared samples.
-
-    The sup over x is finite inside the admissible window; the sweep is the
-    desk-scale look at that statement.
-    """
-    out = []
-    draws = sampler.sample_joint(seed, N, want_truncated=False,
-                                 keep_paths=True)
-    path, zh, zbdy = draws["path"], draws["ZH"], draws["Zbdy"]
-    for x in xs:
-        pair = compute_I(path, zh, zbdy, float(x), sampler.gamma,
-                         ez_h=sampler.lateral.ez_h)
-        vals = pair.IH ** p / pair.Ibdy ** q
-        out.append((float(x), float(vals.mean()),
-                    float(vals.std(ddof=1) / np.sqrt(vals.size))))
-    return out
 
 
 def _grid_quotient_samples(params, grid, factor, v, rho, region, N, seed, p, q):
@@ -480,35 +434,27 @@ def _grid_quotient_samples(params, grid, factor, v, rho, region, N, seed, p, q):
 
 
 def quotient_rho_scan(gamma: float, p: float, q: float, rhos: Sequence[float],
-                      N: int, seed: int, n_bulk: int = 24, n_bdy: int = 24,
-                      r_over_rho: float = 1.25):
+                      N: int, seed: int):
     """log-log slope of the localized ball quotient against rho.
 
-    Each rho runs on its own geometrically similar grid (r = 1.25 rho, fixed
-    node counts), so the exact scale invariance of the kernel makes
+    Each rho runs on its own geometrically similar grid (r = R_OVER_RHO rho,
+    fixed node counts), so the exact scale invariance of the kernel makes
     discretization bias a common factor and the fitted slope converges to
     zeta_tilde(p; q).  The 1.25 ratio keeps the largest cube inside the
     region where the log kernel stays positive definite.
     Returns (slope, slope_stderr, rows) with rows of (rho, estimate, stderr).
     """
-    from .fieldsim import build_cov, build_grid
     rows = []
     for i, rho in enumerate(rhos):
-        grid = build_grid(r_over_rho * rho, n_bulk, n_bdy)
+        grid = build_grid(R_OVER_RHO * rho, RHO_SCAN_N_BULK, RHO_SCAN_N_BDY)
         factor = build_cov(grid)
-        params = GmcParams(gamma=gamma, r=r_over_rho * rho)
+        params = GmcParams(gamma=gamma, r=R_OVER_RHO * rho)
         est = estimate_quotient_moment(p, q, gamma, "grid", N, seed + i,
                                        grid=grid, factor=factor, params=params,
                                        rho=rho, region="ball")
         rows.append((float(rho), est.estimate, est.stderr))
-    lr = np.log([r[0] for r in rows])
-    ly = np.log([r[1] for r in rows])
-    w = np.array([(r[1] / r[2]) ** 2 for r in rows])
-    xb = (w * lr).sum() / w.sum()
-    yb = (w * ly).sum() / w.sum()
-    sxx = (w * (lr - xb) ** 2).sum()
-    slope = (w * (lr - xb) * (ly - yb)).sum() / sxx
-    return float(slope), float(np.sqrt(1.0 / sxx)), rows
+    slope, _, se_slope, _ = _wls_loglog(*np.array(rows).T)
+    return float(slope), float(se_slope), rows
 
 
 # --- locality gap ------------------------------------------------------------------

@@ -5,19 +5,18 @@ Each test prints one line
     ACCEPTANCE <nn> <name>: PASS|FAIL (<detail>)
 
 (visible with ``pytest -s``) before asserting, so the full scoreboard prints
-even when a criterion fails.  Heavy runs are shared through session fixtures.
-All runs use the package default seed; nothing here is tuned per seed.
+even when a criterion fails.  Every criterion that checks a Monte Carlo or
+quadrature result reads it from an ``expcli`` experiment run, and heavy runs
+are shared through session fixtures.  All runs use the package default seed;
+nothing here is tuned per seed.
 """
 
-import dataclasses
 import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from gmclab import expcli, fieldsim, gmc, kernels, radial, tailest
-from gmclab.gmc import GmcParams
+from gmclab import expcli, tailest
 
 SEED = 20_250_101  # package default seed (ExperimentConfig default)
 
@@ -33,136 +32,100 @@ def out_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("acceptance"))
 
 
-@pytest.fixture(scope="session")
-def tailfit_g1(out_dir):
-    cfg = expcli.ExperimentConfig(experiment="tail-fit", gamma=1.0, r=0.5,
-                                  n_bulk=16, n_bdy=32, N=100_000, seed=SEED,
-                                  output_dir=out_dir)
+def _timed_run(out_dir, **config):
+    """Run one experiment at the default seed; return (record, wall s)."""
+    cfg = expcli.ExperimentConfig(seed=SEED, output_dir=out_dir, **config)
     t0 = time.perf_counter()
     rec = expcli.run(cfg)
     return rec, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def tailfit_g1(out_dir):
+    return _timed_run(out_dir, experiment="tail-fit", gamma=1.0, r=0.5,
+                      n_bulk=16, n_bdy=32, N=100_000)
 
 
 @pytest.fixture(scope="session")
 def two_route_g1(out_dir):
-    cfg = expcli.ExperimentConfig(experiment="constant-two-route", gamma=1.0,
-                                  r=0.5, n_bulk=16, n_bdy=32, N=100_000,
-                                  seed=SEED, output_dir=out_dir)
-    t0 = time.perf_counter()
-    rec = expcli.run(cfg)
-    return rec, time.perf_counter() - t0
+    return _timed_run(out_dir, experiment="constant-two-route", gamma=1.0,
+                      r=0.5, n_bulk=16, n_bdy=32, N=100_000)
 
 
-def test_criterion_01_kernel_identities():
-    """quadrature_cov vs 2 min(s,t) at 1e-6; lateral stationarity and zero
-    angular average at 1e-5; runtime < 10 s."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    for s, t in [(0.25, 0.5), (0.25, 1.0), (0.5, 2.0), (1.0, 2.0)]:
-        q = kernels.quadrature_cov(s, t, 2048, tol=1e-6)
-        worst = max(worst, abs(q - 2.0 * min(s, t)))
-    rng = np.random.default_rng(SEED)
-    shift = 0.0
-    for _ in range(1000):
-        t1, t2 = rng.uniform(0, 3, 2)
-        th1, th2 = rng.uniform(0, np.pi, 2)
-        a = kernels.eval_lateral(t1, th1, t2 + 0.01, th2)
-        b = kernels.eval_lateral(t1 + 1.7, th1, t2 + 1.71, th2)
-        shift = max(shift, abs(a - b))
-    zero = max(abs(kernels.lateral_avg_quadrature(0.3, 1.1, 512)),
-               abs(kernels.lateral_avg_quadrature(0.05, 2.4, 512)))
-    wall = time.perf_counter() - t0
-    ok = worst <= 1e-6 and shift <= 1e-5 and zero <= 1e-5 and wall < 10
+@pytest.fixture(scope="session")
+def girsanov_g1(out_dir):
+    """validate-girsanov: the Girsanov pair on 6x6+12 and the
+    renormalization means on 8x8+16, both at N = 1e5."""
+    return _timed_run(out_dir, experiment="validate-girsanov", gamma=1.0,
+                      r=0.5, n_bulk=16, n_bdy=32, N=100_000)
+
+
+@pytest.fixture(scope="session")
+def max_law_g1(out_dir):
+    """max-law: 1e6 maxima per law, shared by criteria 04 and 05."""
+    return _timed_run(out_dir, experiment="max-law", gamma=1.0,
+                      N=1_000_000)
+
+
+def test_criterion_01_kernel_identities(out_dir):
+    """quadrature_cov vs 2 min(s,t) at 1e-6, with its n and n/2 rules within
+    1e-6 of each other; lateral stationarity at 1e-12 and zero angular
+    average at 1e-5; runtime < 10 s."""
+    rec, wall = _timed_run(out_dir, experiment="validate-kernels")
+    m = rec.metrics
+    worst = m["semicircle_max_abs_err"]
+    shift = m["lateral_stationarity_max_err"]
+    zero = m["lateral_zero_average_max"]
+    ok = worst <= 1e-6 and shift <= 1e-12 and zero <= 1e-5 and wall < 10
     assert _line(1, "kernel identities", ok,
                  f"quad err {worst:.1e}, shift {shift:.1e}, "
                  f"zero-avg {zero:.1e}, {wall:.1f}s")
 
 
-def test_criterion_02_discrete_girsanov():
+def test_criterion_02_discrete_girsanov(girsanov_g1):
     """Reweight-vs-shift agreement within 3 combined sigma on a 6x6+12 grid
     at N = 1e5 for gamma in {1, 1.5}; runtime < 2 min."""
-    t0 = time.perf_counter()
-    grid = fieldsim.build_grid(0.5, 6, 12)
-    factor = fieldsim.build_cov(grid)
-    n = 100_000
-    zs = []
-    for gamma in (1.0, 1.5):
-        charge = gamma / 2.0
-        j = grid.n_bdy // 2
-        node = grid.n_bulk_cells + j
-        delta = fieldsim.shift_vector(factor, grid,
-                                      float(grid.bdy_centers[j]), charge)
-        xa = fieldsim.sample_field_batch(factor, SEED + 1, n)
-        xb = fieldsim.sample_field_batch(factor, SEED + 2, n)
-        w = np.exp(charge * xa[node] - 0.5 * charge ** 2 * factor.diag_var[node])
-        pars = GmcParams(gamma=gamma, r=0.5)
-        fa = np.exp(-gmc.bdy_mass(xa, factor, grid, pars,
-                                  gmc.region_all_bdy(grid))) * w
-        fb = np.exp(-gmc.bdy_mass(xb + delta[:, None], factor, grid, pars,
-                                  gmc.region_all_bdy(grid)))
-        se = np.hypot(fa.std(ddof=1), fb.std(ddof=1)) / np.sqrt(n)
-        zs.append((fa.mean() - fb.mean()) / se)
-    wall = time.perf_counter() - t0
+    rec, wall = girsanov_g1
+    zs = [rec.metrics["girsanov_z_a_gamma=1.0"],
+          rec.metrics["girsanov_z_b_gamma=1.5"]]
     ok = all(abs(z) <= 3.0 for z in zs) and wall < 120
     assert _line(2, "discrete Girsanov exactness", ok,
                  f"z = {zs[0]:+.2f} (g=1), {zs[1]:+.2f} (g=1.5), {wall:.0f}s")
 
 
-def test_criterion_03_renormalization_means():
+def test_criterion_03_renormalization_means(girsanov_g1):
     """E[bulk mass] = sum w_i and E[boundary mass] = 2r within 3 sigma at
-    N = 1e5; runtime < 1 min."""
-    t0 = time.perf_counter()
-    grid = fieldsim.build_grid(0.5, 8, 16)
-    factor = fieldsim.build_cov(grid)
-    params = GmcParams(1.0, 0.5)
-    n = 100_000
-    x = fieldsim.sample_field_batch(factor, SEED, n)
-    mb = gmc.bulk_mass(x, factor, grid, params, gmc.region_all_bulk(grid))
-    md = gmc.bdy_mass(x, factor, grid, params, gmc.region_all_bdy(grid))
-    target = float(gmc.bulk_weights(grid, params).sum())
-    zb = (mb.mean() - target) / (mb.std(ddof=1) / np.sqrt(n))
-    zd = (md.mean() - 1.0) / (md.std(ddof=1) / np.sqrt(n))
-    wall = time.perf_counter() - t0
+    N = 1e5 on an 8x8+16 grid; runtime < 1 min (of the shared run)."""
+    rec, wall = girsanov_g1
+    m = rec.metrics
+    zb, zd = m["bulk_mean_z"], m["bdy_mean_z"]
     ok = abs(zb) <= 3.0 and abs(zd) <= 3.0 and wall < 60
     assert _line(3, "renormalization means", ok,
-                 f"bulk z = {zb:+.2f} (target {target:.4f}), "
+                 f"bulk z = {zb:+.2f} (target {m['bulk_mean_target']:.4f}), "
                  f"bdy z = {zd:+.2f}, {wall:.0f}s")
 
 
-def test_criterion_04_maximum_law():
+def test_criterion_04_maximum_law(max_law_g1):
     """KS distance of 1e6 maxima vs Exponential(2/g - g/2) <= 0.002 and the
     unit-drift case P[e^M > 2] = 0.25 within 3 sigma; runtime < 30 s."""
-    t0 = time.perf_counter()
-    spec = radial.DriftSpec(1.0)
-    m = radial.sample_max(spec, SEED, n=1_000_000)
-    ks = stats.kstest(m, "expon", args=(0.0, 1.0 / spec.alpha)).statistic
-    m_std = radial.sample_max_standard(1.0, SEED + 1, n=1_000_000)
-    p = float(np.mean(np.exp(m_std) > 2.0))
-    z = (p - 0.25) / np.sqrt(0.25 * 0.75 / 1e6)
-    wall = time.perf_counter() - t0
+    rec, wall = max_law_g1
+    m = rec.metrics
+    ks, p, z = m["ks_distance"], m["unit_tail_prob"], m["unit_tail_z"]
     ok = ks <= 0.002 and abs(z) <= 3.0 and wall < 30
     assert _line(4, "maximum law", ok,
                  f"KS = {ks:.2e}, P[e^M>2] = {p:.5f} (z = {z:+.2f}), "
                  f"{wall:.0f}s")
 
 
-def test_criterion_05_prefactor_identity():
+def test_criterion_05_prefactor_identity(max_law_g1):
     """E[e^{-gM/2} 1{e^{gM} C > t}] = (1 - g^2/4) C^{2/g^2} t^{-2/g^2} within
     3 sigma at N = 1e6 for gamma in {1, sqrt 2}, t/C in {2, 10}."""
-    t0 = time.perf_counter()
-    n = 1_000_000
-    worst = 0.0
-    for gamma in (1.0, np.sqrt(2.0)):
-        m = radial.sample_max(radial.DriftSpec(gamma), SEED + 2, n=n)
-        for ratio in (2.0, 10.0):
-            vals = np.exp(-gamma * m / 2) * (np.exp(gamma * m) > ratio)
-            target = (1 - gamma ** 2 / 4) * ratio ** (-2.0 / gamma ** 2)
-            z = (vals.mean() - target) / (vals.std(ddof=1) / np.sqrt(n))
-            worst = max(worst, abs(z))
-    wall = time.perf_counter() - t0
-    ok = worst <= 3.0 and wall < 60
+    rec, wall = max_law_g1
+    zs = [v for k, v in rec.metrics.items() if k.startswith("footnote_z_")]
+    worst = max(abs(z) for z in zs)
+    ok = len(zs) == 4 and worst <= 3.0 and wall < 60
     assert _line(5, "prefactor identity", ok,
-                 f"max |z| = {worst:.2f} over 4 cases, {wall:.0f}s")
+                 f"max |z| = {worst:.2f} over {len(zs)} cases, {wall:.0f}s")
 
 
 def test_criterion_06_tail_exponent(tailfit_g1, out_dir):
@@ -170,12 +133,9 @@ def test_criterion_06_tail_exponent(tailfit_g1, out_dir):
     within 0.15 of 2 at gamma = 1 and within 0.20 of 1.389 at gamma = 1.2,
     with a stability plateau containing the target; runtime <= 30 min."""
     rec1, wall1 = tailfit_g1
-    cfg = expcli.ExperimentConfig(experiment="tail-fit", gamma=1.2, r=0.5,
-                                  n_bulk=16, n_bdy=32, N=100_000, seed=SEED,
-                                  output_dir=out_dir)
-    t0 = time.perf_counter()
-    rec2 = expcli.run(cfg)
-    wall = wall1 + time.perf_counter() - t0
+    rec2, wall2 = _timed_run(out_dir, experiment="tail-fit", gamma=1.2,
+                             r=0.5, n_bulk=16, n_bdy=32, N=100_000)
+    wall = wall1 + wall2
     e1, e2 = rec1.metrics["exponent"], rec2.metrics["exponent"]
     ok = (abs(e1 - 2.0) <= 0.15 and abs(e2 - 2.0 / 1.2 ** 2) <= 0.20
           and rec1.metrics["plateau_contains_target"]
@@ -192,13 +152,17 @@ def test_criterion_07_two_route_constant(two_route_g1):
     The matched-scale diagnostics are printed alongside: the window-entry gap,
     and the grid and radial finite-t constants c(t) at the grid fit window's
     midpoint, which show how far below the radial curve the 16x16 grid sits
-    inside its own window.
+    inside its own window.  The spread printed next to the grid constant is
+    that of ``fixed_exponent_constant``: max(noise floor, scatter of c(t)
+    over the window).  Here the scatter term wins, so it measures how far
+    c(t) bends across the window and is not a sampling error bar.
     """
     rec, wall = two_route_g1
     m = rec.metrics
     ok = bool(rec.passed) and wall <= 1800
     detail = (
-        f"grid {m['constant_grid_anchored']:.3f}±{m['constant_grid_stderr']:.3f}"
+        f"grid {m['constant_grid_anchored']:.3f} (window spread "
+        f"{m['constant_grid_stderr']:.3f}, not a sampling error bar)"
         f" vs radial {m['constant_radial']:.3f} "
         f"[{m['constant_radial_ci_low']:.2f},{m['constant_radial_ci_high']:.2f}]"
         f", rel gap {m['relative_gap']:.1%}, overlap {m['intervals_overlap']}"
@@ -220,12 +184,8 @@ def test_criterion_07_two_route_constant(two_route_g1):
 def test_criterion_08_radial_vs_grid_law(out_dir):
     """E[mu_H_0(Q(0, 0.25))^0.3] from the radial representation and from the
     grid agree within 15% at gamma = 1; runtime <= 10 min."""
-    cfg = expcli.ExperimentConfig(experiment="quotient-moments", gamma=1.0,
-                                  rho=0.25, N=30_000, seed=SEED,
-                                  output_dir=out_dir)
-    t0 = time.perf_counter()
-    rec = expcli.run(cfg)
-    wall = time.perf_counter() - t0
+    rec, wall = _timed_run(out_dir, experiment="quotient-moments", gamma=1.0,
+                           rho=0.25, N=30_000)
     m = rec.metrics
     ok = m["eq11_relative_gap"] <= 0.15 and wall <= 600
     assert _line(8, "radial-vs-grid law (half-disk mass)", ok,
@@ -237,13 +197,9 @@ def test_criterion_08_radial_vs_grid_law(out_dir):
 def test_criterion_09_appendix_scaling(out_dir):
     """Fitted rho-slope of the localized quotient (p = q = 1, gamma = 1,
     rho in {0.05, 0.1, 0.2, 0.4}) within 0.2 of zeta_tilde = 0.5."""
-    cfg = expcli.ExperimentConfig(experiment="zeta-scaling", gamma=1.0,
-                                  rho_list=[0.05, 0.1, 0.2, 0.4], N=30_000,
-                                  p_moment=1.0, q_moment=1.0, seed=SEED,
-                                  output_dir=out_dir)
-    t0 = time.perf_counter()
-    rec = expcli.run(cfg)
-    wall = time.perf_counter() - t0
+    rec, wall = _timed_run(out_dir, experiment="zeta-scaling", gamma=1.0,
+                           rho_list=[0.05, 0.1, 0.2, 0.4], N=30_000,
+                           p_moment=1.0, q_moment=1.0)
     m = rec.metrics
     ok = m["abs_gap"] <= 0.2 and wall <= 900
     assert _line(9, "appendix rho-scaling", ok,
@@ -254,12 +210,8 @@ def test_criterion_09_appendix_scaling(out_dir):
 def test_criterion_10_perturbed_kernel(out_dir):
     """Tail-constant ratio perturbed/exact for g = 0.5 equals e^{0.5} within
     25% at gamma = 1; runtime <= 30 min."""
-    cfg = expcli.ExperimentConfig(experiment="perturbed-g", gamma=1.0,
-                                  g_const=0.5, N=50_000, seed=SEED,
-                                  output_dir=out_dir)
-    t0 = time.perf_counter()
-    rec = expcli.run(cfg)
-    wall = time.perf_counter() - t0
+    rec, wall = _timed_run(out_dir, experiment="perturbed-g", gamma=1.0,
+                           g_const=0.5, N=50_000)
     m = rec.metrics
     ok = m["relative_gap"] <= 0.25 and wall <= 1800
     assert _line(10, "perturbed-kernel constant ratio", ok,
@@ -271,11 +223,8 @@ def test_criterion_10_perturbed_kernel(out_dir):
 def test_criterion_11_locality_gap(out_dir):
     """|gap|/local-term decreases across the 50/90/99 percent t-quantiles at
     gamma = 1, v = 0, rho = r/4; runtime <= 10 min."""
-    cfg = expcli.ExperimentConfig(experiment="locality-gap", gamma=1.0,
-                                  N=100_000, seed=SEED, output_dir=out_dir)
-    t0 = time.perf_counter()
-    rec = expcli.run(cfg)
-    wall = time.perf_counter() - t0
+    rec, wall = _timed_run(out_dir, experiment="locality-gap", gamma=1.0,
+                           N=100_000)
     m = rec.metrics
     ok = bool(rec.passed) and wall <= 600
     assert _line(11, "locality gap trend", ok,

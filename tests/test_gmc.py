@@ -74,7 +74,7 @@ def test_synthetic_single_segment(setup):
 def test_additivity_and_monotonicity(setup):
     grid, factor = setup
     params = GmcParams(1.2, 0.5)
-    x = fs.sample_field(factor, 9).values
+    x = fs.sample_field_batch(factor, 9, 1)[:, 0]
     all_cells = gmc.region_all_bulk(grid)
     a, b = all_cells[: 20], all_cells[20:]
     total = gmc.bulk_mass(x, factor, grid, params, all_cells)
@@ -88,7 +88,7 @@ def test_additivity_and_monotonicity(setup):
 def test_region_mismatch(setup):
     grid, factor = setup
     params = GmcParams(1.0, 0.5)
-    x = fs.sample_field(factor, 3).values
+    x = fs.sample_field_batch(factor, 3, 1)[:, 0]
     with pytest.raises(RegionMismatch):
         gmc.bulk_mass(x, factor, grid, params, np.array([grid.n_bulk_cells]))
     with pytest.raises(RegionMismatch):
@@ -98,7 +98,7 @@ def test_region_mismatch(setup):
 def test_supercritical_bulk_weight(setup):
     grid, factor = setup
     params = GmcParams(1.5, 0.5)  # gamma^2/2 > 1: bottom row diverges
-    x = fs.sample_field(factor, 3).values
+    x = fs.sample_field_batch(factor, 3, 1)[:, 0]
     with pytest.raises(SupercriticalWeight):
         gmc.bulk_mass(x, factor, grid, params, gmc.region_all_bulk(grid))
     # excluding the bottom row is fine
@@ -110,7 +110,7 @@ def test_localized_far_field(setup):
     """Weight nearly constant when v is far from the region."""
     grid, factor = setup
     params = GmcParams(1.0, 0.5)
-    x = fs.sample_field(factor, 21).values
+    x = fs.sample_field_batch(factor, 21, 1)[:, 0]
     # distant cells in the upper-right corner
     c = grid.bulk_centers
     region = np.flatnonzero((c[:, 0] > 0.3) & (c[:, 1] > 0.8))
@@ -124,7 +124,7 @@ def test_localized_far_field(setup):
 def test_localized_bdy_far_field(setup):
     grid, factor = setup
     params = GmcParams(1.0, 0.5)
-    x = fs.sample_field(factor, 22).values
+    x = fs.sample_field_batch(factor, 22, 1)[:, 0]
     segs = gmc.region_interval_bdy(grid, 0.3, 0.5)
     v = -0.45
     d = np.abs(grid.bdy_centers[segs] - v).mean()
@@ -230,15 +230,6 @@ def test_girsanov_localization_bridge(setup):
     rhs = grid.seg_len * acc / (2 * params.r)
     rhs_se = grid.seg_len * np.sqrt(var_acc) / (2 * params.r)
     assert abs(lhs - rhs) <= 3 * np.hypot(lhs_se, rhs_se)
-
-
-def test_measure_sample(setup):
-    grid, factor = setup
-    params = GmcParams(1.0, 0.5)
-    x = fs.sample_field(factor, 2)
-    ms = gmc.measure_sample(x, factor, grid, params, v=0.01)
-    assert ms.bulk_mass > 0 and ms.bdy_mass > 0
-    assert ms.loc_bulk > 0 and ms.loc_bdy > 0 and ms.v == 0.01
 
 
 def test_tilted_masses_match_shifted_fields():

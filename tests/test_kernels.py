@@ -54,13 +54,23 @@ def test_lateral_stationarity_and_symmetry():
 
 def test_kernel_symmetry_randomized():
     rng = np.random.default_rng(11)
-    spec = kernels.KernelSpec()
     for _ in range(1000):
         z = (rng.uniform(-1, 1), rng.uniform(0.01, 2))
         w = (rng.uniform(-1, 1), rng.uniform(0.01, 2))
         assert kernels.eval_neumann(z, w) == pytest.approx(
             kernels.eval_neumann(w, z), rel=1e-12)
-        assert kernels.evaluate(spec, z, w) == kernels.eval_neumann(z, w)
+    # build_cov factors pairwise matrices as they are, so they must be
+    # exactly symmetric, not only to rounding
+    pts = np.column_stack([rng.uniform(-1, 1, 300), rng.uniform(0, 2, 300)])
+    bdy = np.column_stack([rng.uniform(-1, 1, 300), np.zeros(300)])
+    for spec, p in (
+            (kernels.KernelSpec(), pts),
+            (kernels.KernelSpec(kind=kernels.DIRICHLET_PART), pts),
+            (kernels.KernelSpec(kind=kernels.BOUNDARY_RESTRICTION), bdy),
+            (kernels.KernelSpec(kind=kernels.PERTURBED,
+                                g=lambda a, b: a[..., 0] * b[..., 0]), pts)):
+        k = kernels.pairwise(spec, p, p)
+        assert np.array_equal(k, k.T), spec.kind
 
 
 def test_perturbed_reductions():

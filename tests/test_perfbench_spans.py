@@ -1,0 +1,71 @@
+"""The benchmark's span tracer still binds to gmclab.
+
+``perfbench/spans.py`` wraps gmclab functions by rebinding their names and
+its hooks read call arguments by parameter name, so renaming or removing a
+wrapped function or parameter breaks ``--trace 1`` runs.  This test installs
+the tracer, drives every hooked call once at toy sizes, and removes it.
+"""
+
+import importlib.util
+import os
+
+import gmclab as gm
+
+SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "spans.py")
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    mods = [gm.kernels, gm.cellavg, gm.fieldsim, gm.rng, gm.gmc, gm.radial,
+            gm.tailest, gm.expcli]
+    out = {(m.__name__, k): v for m in mods for k, v in vars(m).items()}
+    for cls in (gm.radial.RadialSampler, gm.radial.LateralModel):
+        out.update({(cls.__name__, k): v for k, v in vars(cls).items()})
+    return out
+
+
+def test_spans_install_wraps_and_restores(tmp_path):
+    spans = _load_spans()
+    before = _bindings()
+    tracer = spans.Tracer()
+    # raises when a wrapped name no longer binds anywhere in gmclab
+    spans.install(tracer, gm)
+    try:
+        grid = gm.fieldsim.build_grid(0.5, 2, 4)
+        factor = gm.fieldsim.build_cov(grid)
+        params = gm.gmc.GmcParams(gamma=1.0, r=0.5)
+        x = gm.fieldsim.sample_field_batch(factor, 1, 8)
+        gm.gmc.bulk_mass(x, factor, grid, params, gm.gmc.region_all_bulk(grid))
+        gm.gmc.bdy_mass(x, factor, grid, params, gm.gmc.region_all_bdy(grid))
+        gm.tailest.localized_survival_curve(params, grid, factor, [1.0, 2.0],
+                                            8, 2)
+        config = gm.radial.RadialConfig(T=4.0, ds=0.25, n_theta=8)
+        gm.radial.RadialSampler(1.0, config).sample_joint(3, 8)
+        gm.expcli.run(gm.expcli.ExperimentConfig(
+            experiment="max-law", N=1000, seed=5, output_dir=str(tmp_path)))
+    finally:
+        tracer.remove()
+    agg = tracer.aggregate()
+    for name in ("kernels.pairwise", "fieldsim.build_cov",
+                 "fieldsim.sample_field_batch", "fieldsim.shift_vector",
+                 "gmc.bulk_mass", "gmc.bdy_mass",
+                 "tailest.localized_survival_curve", "radial.sampler_init",
+                 "radial.sample_joint", "radial.lateral.sample",
+                 "radial.sample_conditioned_path", "radial.compute_I",
+                 "rng.stream_generator", "rng.draw", "expcli.run"):
+        assert name in agg, name
+    assert tracer.counts["gmc.exp_count"] == 8 * (grid.n_bulk_cells
+                                                  + grid.n_bdy)
+    assert tracer.counts["tailest.tilted_replicas"] == grid.n_bdy * 8
+    assert tracer.counts["radial.path_steps"] > 0
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)

@@ -237,32 +237,48 @@ def test_compute_I_synthetic():
     assert full.IH == pytest.approx(2.0, rel=2e-2)
 
 
+def _two_sided_draws(seed, n, T=8.0, ds=0.1):
+    """n Williams paths with their lateral densities, built as sample_joint
+    builds them: (path, Z_H, Z_bdy, E[Z_H])."""
+    spec = DriftSpec(1.0)
+    lateral = LateralModel(gamma=1.0, T=T, ds=ds, n_theta=8)
+    zh, zbdy = lateral.sample(seed, n)
+    t, desc = radial.sample_conditioned_path(spec, T, ds, 1e-3, seed + 1, n)
+    _, asc = radial.sample_conditioned_path(spec, T, ds, 1e-3, seed + 2, n)
+    m = radial.sample_max(spec, seed + 3, n=n)
+    path = radial.williams_concatenate(m, (t, desc), (t, asc))
+    return path, zh, zbdy, lateral.ez_h
+
+
 def test_compute_I_monotone_in_x():
-    sampler = RadialSampler(1.0, RadialConfig(T=8.0, ds=0.1, n_theta=8))
-    d = sampler.sample_joint(3, 256, want_truncated=True, keep_paths=True)
+    """On Williams paths (B <= 0, M > 0) with nonnegative lateral densities,
+    I_H(x) and I_bdy(x) are nondecreasing in the cutoff x."""
+    path, zh, zbdy, ez_h = _two_sided_draws(3, 256)
+    assert np.all(path.M > 0) and np.all(path.b <= 0)
+    assert np.all(zh >= 0) and np.all(zbdy >= 0)
     prev = None
-    for x in (0.5, 1.0, 2.0, np.inf):
-        pair = radial.compute_I(d["path"], d["ZH"], d["Zbdy"], x, 1.0,
-                                ez_h=sampler.lateral.ez_h)
+    for x in (0.5, 1.0, 2.0, 4.0, np.inf):
+        pair = radial.compute_I(path, zh, zbdy, x, 1.0, ez_h=ez_h)
         if prev is not None:
-            assert np.all(pair.IH >= prev - 1e-12)
-        prev = pair.IH
+            assert np.all(pair.IH >= prev.IH - 1e-12)
+            assert np.all(pair.Ibdy >= prev.Ibdy - 1e-12)
+        prev = pair
+    sampler = RadialSampler(1.0, RadialConfig(T=8.0, ds=0.1, n_theta=8))
+    d = sampler.sample_joint(3, 256, want_truncated=True)
     assert np.all(d["IH_inf"] >= d["IH_M"] - 1e-12)
+    assert np.all(d["Ibdy_inf"] >= d["Ibdy_M"] - 1e-12)
 
 
 def test_truncation_bound_and_error():
-    sampler = RadialSampler(1.0, RadialConfig(T=8.0, ds=0.1, n_theta=8))
-    d = sampler.sample_joint(5, 512, want_truncated=False, keep_paths=True)
-    pair = radial.compute_I(d["path"], d["ZH"], d["Zbdy"], np.inf, 1.0,
-                            ez_h=sampler.lateral.ez_h)
+    path, zh, zbdy, ez_h = _two_sided_draws(5, 512)
+    pair = radial.compute_I(path, zh, zbdy, np.inf, 1.0, ez_h=ez_h)
     # typical paths end ~ lambda T deep, so the typical bound is negligible;
     # rare shallow-ended paths keep an O(1) bound, which is the point of
     # reporting it per sample
     assert np.median(pair.bound_H / pair.IH) < 1e-4
     assert np.all(np.isfinite(pair.bound_H))
     with pytest.raises(TruncationTooShort):
-        radial.compute_I(d["path"], d["ZH"], d["Zbdy"], 100.0, 1.0,
-                         ez_h=sampler.lateral.ez_h, tol=1e-6)
+        radial.compute_I(path, zh, zbdy, 100.0, 1.0, ez_h=ez_h, tol=1e-6)
 
 
 def test_doubling_T_within_bound():
@@ -309,12 +325,3 @@ def test_sampler_determinism():
     for k in s1:
         assert np.array_equal(s1[k], s2[k])
 
-
-def test_draw_radial_sample_tables():
-    cfg = RadialConfig(T=6.0, ds=0.1, n_theta=8)
-    rs = radial.draw_radial_sample(1.0, 21, config=cfg)
-    assert rs.M > 0
-    assert np.all(rs.path.b <= 0)
-    assert np.all(np.diff(rs.IH_of_x) >= -1e-12)   # increasing in x
-    assert np.all(np.diff(rs.Ibdy_of_x) >= -1e-12)
-    assert np.all(rs.ZH >= 0) and np.all(rs.Zbdy >= 0)
