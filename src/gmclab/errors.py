@@ -46,10 +46,6 @@ class SupercriticalWeight(GmclabError):
 
 # --- radial ----------------------------------------------------------------
 
-class DegenerateStart(GmclabError):
-    """Conditioned-path sampler started exactly at the absorbing level."""
-
-
 class IndexMismatch(GmclabError):
     """Two paths cannot be concatenated (incompatible time steps)."""
 

@@ -33,12 +33,14 @@ import numpy as np
 
 from . import __version__ as code_version
 from . import gmc, kernels, radial, tailest
-from .errors import ConfigInvalid, GmclabError, IoFailure
+from .errors import ConfigInvalid, DegenerateWindow, GmclabError, IoFailure
 from .fieldsim import (MAX_DENSE_NODES, build_cov, build_grid,
                        sample_field_batch, shift_vector)
 from .gmc import GmcParams
 from .radial import DriftSpec, RadialConfig, RadialSampler
 from .rng import stream_generator
+
+STABILITY_WINDOWS = 8  # sliding half-decade windows of the tail-fit scan
 
 EXPERIMENTS = (
     "validate-kernels",
@@ -65,7 +67,6 @@ class ExperimentConfig:
     radial_T: Optional[float] = None
     radial_ds: float = 0.1
     radial_n_theta: int = 32
-    radial_eps: float = 1e-3
     N: int = 100_000
     seed: int = 20_250_101
     t_grid: Optional[list] = None
@@ -90,7 +91,7 @@ class ExperimentConfig:
 
     def radial_config(self) -> RadialConfig:
         return RadialConfig(T=self.radial_T, ds=self.radial_ds,
-                            n_theta=self.radial_n_theta, eps=self.radial_eps)
+                            n_theta=self.radial_n_theta)
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -327,15 +328,15 @@ def _tail_fit_run(cfg: ExperimentConfig, kernel=None) -> _TailFitRun:
     # window-stability scan: sliding half-decade windows
     rows, stab = [], []
     lo, hi = np.log(window[0]), np.log(window[1])
-    for a in np.linspace(lo, hi - np.log(10.0) / 2, 8):
+    for a in np.linspace(lo, hi - np.log(10.0) / 2, STABILITY_WINDOWS):
         wnd = (float(np.exp(a)), float(np.exp(a + np.log(10.0) / 2)))
         try:
             f = tailest.fit_tail(curve, wnd)
             stab.append(f.exponent)
             rows.append(("window_exponent", np.sqrt(wnd[0] * wnd[1]),
                          f.exponent, f.stderr_exponent))
-        except GmclabError:
-            continue
+        except DegenerateWindow:  # too few curve points in this window
+            pass
     curves = {
         "survival_is": list(zip(curve.ts, curve.phat, curve.stderr)),
         "fit_stability": rows,
@@ -360,6 +361,7 @@ def _exp_tail_fit(cfg: ExperimentConfig):
         "window_hi": window[1],
         "stability_min": float(min(stab)) if stab else float("nan"),
         "stability_max": float(max(stab)) if stab else float("nan"),
+        "stability_windows_skipped": STABILITY_WINDOWS - len(stab),
     }
     tol = 0.15 if abs(cfg.gamma - 1.0) < 1e-9 else 0.20
     plateau_ok = bool(stab) and (min(stab) - 0.1 <= target <= max(stab) + 0.1)

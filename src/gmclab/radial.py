@@ -19,10 +19,10 @@ Samplers:
 - M by exact inverse-CDF on one Philox stream (so the maximum law is
   machine-exact); ``sample_max``, ``sample_max_standard`` and the joint
   sampler share this one exponential draw;
-- conditioned-negative paths by an epsilon-start h-transform whose ds-steps
-  are drawn by exact rejection against the killed Gaussian kernel (accept
-  probability (1 - e^{-2 x y / sigma^2 ds})(1 - e^{lambda y})), giving
-  independent, unweighted paths;
+- conditioned-negative paths exactly on the grid, as -sqrt(2) times the
+  norm of a 3-d Brownian motion with drift lambda / sqrt(2) (Rogers & Pitman
+  1981): cumulative sums of Gaussian increments, started at the maximum
+  itself (the Williams start) or at a given depth;
 - the lateral field by block-circulant embedding over the s-axis (the
   covariance is stationary in s and decays exponentially), exact when the
   embedding spectrum is nonnegative, which is checked;
@@ -42,13 +42,15 @@ from typing import Optional, Union
 import numpy as np
 
 from .cellavg import _gauss_nodes, neg_log_avg_segment
-from .errors import (DegenerateStart, IndexMismatch, InvalidRho,
-                     NotPositiveDefinite, TruncationTooShort)
+from .errors import (IndexMismatch, InvalidRho, NotPositiveDefinite,
+                     TruncationTooShort)
 from .gmc import sin_power_integral
 from .kernels import lateral_cov
 from .rng import chunk_sizes, stream_generator
 
 LATERAL_CHUNK = 128  # samples per circulant-embedding FFT block
+EZ_BDY = 2.0  # E[Z_bdy(s)]: two unit-mean boundary rays
+PATH_ROWS = 128  # conditioned paths per block of Gaussian increments
 
 
 @dataclass(frozen=True)
@@ -102,28 +104,20 @@ def sample_max_standard(alpha: float, seed: int, n: Optional[int] = None):
 
 # --- conditioned-negative paths ----------------------------------------------
 
-def _conditioned_steps(x: np.ndarray, lam: float, ds: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    """One exact h-transform step from states x < 0 (vectorized rejection).
-
-    Proposal: free Gaussian step with drift -lam and variance 2 ds.  Accept
-    with probability (1 - exp(-2 x y / (2 ds))) * (1 - exp(lam y)) for y < 0:
-    the first factor is the killed-kernel ratio, the second the h-function.
-    """
-    var = 2.0 * ds
-    out = np.empty_like(x)
-    todo = np.arange(x.size)
-    while todo.size:
-        xa = x[todo]
-        y = xa - lam * ds + np.sqrt(var) * rng.standard_normal(todo.size)
-        ok = y < 0.0
-        acc = np.zeros(todo.size)
-        yn = y[ok]
-        acc[ok] = -np.expm1(-2.0 * xa[ok] * yn / var) * (-np.expm1(lam * yn))
-        hit = rng.random(todo.size) < acc
-        out[todo[hit]] = y[hit]
-        todo = todo[~hit]
-    return out
+def _entrance_points(rng: np.random.Generator, mu: float, r0: float,
+                     n: int) -> np.ndarray:
+    """(3, n) starting points at radius r0 of the 3-d motion with drift
+    mu e_1, from the Rogers-Pitman entrance law: von Mises-Fisher with mean
+    e_1 and concentration kappa = mu r0, drawn from n uniforms for the cosine
+    w (density prop. to e^{kappa w} on [-1, 1]) and n for the azimuth."""
+    if r0 == 0.0:
+        return np.zeros((3, n))
+    kappa = mu * r0
+    # inverse CDF of w, written so that large kappa cannot overflow
+    w = 1.0 + np.log1p(rng.random(n) * np.expm1(-2.0 * kappa)) / kappa
+    phi = 2.0 * np.pi * rng.random(n)
+    perp = r0 * np.sqrt(np.maximum(1.0 - w * w, 0.0))
+    return np.stack([r0 * w, perp * np.cos(phi), perp * np.sin(phi)])
 
 
 def sample_conditioned_path(spec: DriftSpec, T: float, ds: float, eps: float,
@@ -131,23 +125,41 @@ def sample_conditioned_path(spec: DriftSpec, T: float, ds: float, eps: float,
     """Paths of the drifted motion conditioned to stay below zero.
 
     Returns ``(times, paths)`` with times k*ds for k = 0..T/ds and paths of
-    shape (n_paths, len(times)); every path starts at -eps and stays <= 0.
-    The entrance at zero is degenerate (h(0) = 0), hence the epsilon start;
-    eps-halving insensitivity is the contract check.
+    shape (n_paths, len(times)); every path starts at depth ``eps >= 0`` and
+    stays <= 0.  The law is exact on the grid (Rogers & Pitman 1981): with
+    mu = lambda / sqrt(2), sqrt(2) B_s - lambda s conditioned to stay negative
+    is -sqrt(2) |W_s + mu s e_1| for a 3-d Brownian motion W.  ``eps = 0`` is
+    the Williams start at the maximum (W_0 = 0); for eps > 0, W_0 is drawn at
+    radius eps / sqrt(2) by ``_entrance_points``.  Stream use: see
+    ``RadialSampler``.
     """
-    if eps <= 0.0:
-        raise DegenerateStart("conditioned path needs eps > 0 (h(0) = 0)")
+    if eps < 0.0:
+        raise ValueError(f"start depth eps must be >= 0, got {eps}")
     if T <= 0 or ds <= 0 or ds > T:
         raise ValueError("need 0 < ds <= T")
-    lam = spec.alpha
+    mu = spec.alpha / np.sqrt(2.0)
     n_steps = int(round(T / ds))
     rng = stream_generator(seed, stream)
-    paths = np.empty((n_paths, n_steps + 1))
-    paths[:, 0] = -eps
-    x = np.full(n_paths, -eps)
-    for k in range(1, n_steps + 1):
-        x = _conditioned_steps(x, lam, ds, rng)
-        paths[:, k] = x
+    paths = np.zeros((n_paths, n_steps + 1))
+    paths[:, 0] -= eps
+    drift = (mu * ds, 0.0, 0.0)
+    # |W_s + mu s e_1|^2 accumulates one coordinate at a time into the path
+    # columns, so beyond the output only one block buffer is held
+    buf = np.empty((min(n_paths, PATH_ROWS), n_steps))
+    for a in range(0, n_paths, PATH_ROWS):
+        sq = paths[a:a + PATH_ROWS, 1:]
+        start = _entrance_points(rng, mu, eps / np.sqrt(2.0), len(sq))
+        coord = buf[:len(sq)]
+        for i in range(3):
+            rng.standard_normal(out=coord)
+            coord *= np.sqrt(ds)
+            coord += drift[i]
+            coord[:, 0] += start[i]
+            np.cumsum(coord, axis=1, out=coord)
+            coord *= coord
+            sq += coord
+        np.sqrt(sq, out=sq)
+        sq *= -np.sqrt(2.0)
     times = ds * np.arange(n_steps + 1)
     return times, paths
 
@@ -170,8 +182,6 @@ class TwoSidedPath:
 
     @property
     def values(self):
-        if np.ndim(self.b) == 1:
-            return self.M + self.b
         return np.asarray(self.M) + self.b
 
     @property
@@ -183,9 +193,9 @@ def williams_concatenate(M, descent, reversed_ascent) -> TwoSidedPath:
     """Glue a descent path (s >= 0) and a reversed ascent (s < 0).
 
     Both inputs are ``(times, path)`` pairs from ``sample_conditioned_path``
-    (single path or matching batches); the concatenation attains its maximum
-    M exactly at s = 0.  The integration cutoff -L_{-M} is recovered later
-    from the left half as its last visit above -M.
+    (single path or matching batches); halves started at eps = 0 make the
+    concatenation attain its maximum M exactly at s = 0.  The cutoff -L_{-M}
+    is recovered later from the left half as its last visit above -M.
     """
     t_d, p_d = descent
     t_a, p_a = reversed_ascent
@@ -248,7 +258,6 @@ class LateralModel:
         self._build_spectrum()
         self.diag_var = np.diag(self._lag_block(0.0)).copy()
         self.ez_h = float(self.zh_weights.sum())      # exact E[Z_H(s)]
-        self.ez_bdy = 2.0                             # two unit-mean rays
 
     # -- construction helpers
 
@@ -427,8 +436,7 @@ class IntegralPair:
     bound_bdy: Union[float, np.ndarray]
 
 
-def compute_I(path: TwoSidedPath, ZH, Zbdy, x, gamma: float,
-              ez_h: Optional[float] = None, ez_bdy: float = 2.0,
+def compute_I(path: TwoSidedPath, ZH, Zbdy, x, gamma: float, ez_h: float,
               tol: Optional[float] = None) -> IntegralPair:
     """Riemann sums of e^{gamma B} Z_H and e^{gamma/2 B} Z_bdy over s >= -L_{-x}.
 
@@ -436,7 +444,9 @@ def compute_I(path: TwoSidedPath, ZH, Zbdy, x, gamma: float,
     infinite (full truncated range).  The neglected-tail bound uses B <= 0 and
     the conservative drift estimate lambda/2:
 
-        bound = E[Z] * e^{coupling * B(edge)} / (coupling * lambda/2).
+        bound = E[Z] * e^{coupling * B(edge)} / (coupling * lambda/2),
+
+    with E[Z_H] = ``ez_h`` and E[Z_bdy] = ``EZ_BDY``.
 
     Raises ``TruncationTooShort`` when ``tol`` is given and a bound exceeds
     tol * integral (also when a finite x is never reached on the grid).
@@ -446,18 +456,12 @@ def compute_I(path: TwoSidedPath, ZH, Zbdy, x, gamma: float,
     zb = Zbdy if np.ndim(Zbdy) == 2 else np.asarray(Zbdy)[:, None]
     if b.shape[0] != zh.shape[0] or b.shape[0] != zb.shape[0]:
         raise IndexMismatch("path and lateral slices use different s-grids")
-    n_s, n = b.shape
+    n = b.shape[1]
     ds = path.ds
     jc = int(np.argmin(np.abs(path.s)))  # index of s = 0
     lam_low = 0.5 * (2.0 / gamma - gamma / 2.0)
 
     x_arr = np.broadcast_to(np.asarray(x, dtype=float), (n,))
-    fh = ds * np.exp(gamma * b) * zh
-    fb = ds * np.exp(0.5 * gamma * b) * zb
-    # suffix sums: integral over s >= s_j
-    ch = np.cumsum(fh[::-1], axis=0)[::-1]
-    cb = np.cumsum(fb[::-1], axis=0)[::-1]
-
     lower = np.zeros(n, dtype=int)
     unreached = np.zeros(n, dtype=bool)
     finite = np.isfinite(x_arr)
@@ -472,26 +476,20 @@ def compute_I(path: TwoSidedPath, ZH, Zbdy, x, gamma: float,
         # still above -x at s = -T: the true L_{-x} lies beyond the horizon
         unreached[finite & above[0]] = True
 
-    ih = ch[lower, np.arange(n)]
-    ib = cb[lower, np.arange(n)]
+    def integral_and_bound(coupling, z, ez):
+        # suffix sums: integral over s >= s_j, read at each cutoff
+        suffix = np.cumsum((ds * np.exp(coupling * b) * z)[::-1], axis=0)[::-1]
+        bound = ez * np.exp(coupling * b[-1]) / (coupling * lam_low) \
+            + np.where(finite, 0.0,
+                       ez * np.exp(coupling * b[0]) / (coupling * lam_low))
+        return suffix[lower, np.arange(n)], np.where(unreached, np.inf, bound)
 
-    ez_h_val = float(ez_h) if ez_h is not None else float(np.mean(zh))
-    right_h = ez_h_val * np.exp(gamma * b[-1]) / (gamma * lam_low)
-    right_b = ez_bdy * np.exp(0.5 * gamma * b[-1]) / (0.5 * gamma * lam_low)
-    left_h = np.where(np.isfinite(x_arr), 0.0,
-                      ez_h_val * np.exp(gamma * b[0]) / (gamma * lam_low))
-    left_b = np.where(np.isfinite(x_arr), 0.0,
-                      ez_bdy * np.exp(0.5 * gamma * b[0]) / (0.5 * gamma * lam_low))
-    bound_h = right_h + left_h
-    bound_b = right_b + left_b
-    if np.any(unreached):
-        bound_h = np.where(unreached, np.inf, bound_h)
-        bound_b = np.where(unreached, np.inf, bound_b)
+    ih, bound_h = integral_and_bound(gamma, zh, ez_h)
+    ib, bound_b = integral_and_bound(0.5 * gamma, zb, EZ_BDY)
 
+    # an unreached cutoff has an infinite bound, so it always fails tol
     if tol is not None:
-        bad = np.any(bound_h > tol * ih) or np.any(bound_b > tol * ib) \
-            or np.any(unreached)
-        if bad:
+        if np.any(bound_h > tol * ih) or np.any(bound_b > tol * ib):
             raise TruncationTooShort(
                 f"truncation bound exceeds tol={tol:g}; increase T")
 
@@ -515,12 +513,13 @@ def default_horizon(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class RadialConfig:
-    """Discretization of the radial sampler."""
+    """Discretization of the radial sampler; ``eps`` is the start depth of
+    both path halves below the maximum (0: the exact Williams start)."""
 
     T: Optional[float] = None
     ds: float = 0.05
     n_theta: int = 64
-    eps: float = 1e-3
+    eps: float = 0.0
 
     def horizon(self, gamma: float) -> float:
         return self.T if self.T is not None else default_horizon(gamma)
@@ -533,7 +532,10 @@ class RadialSampler:
     produces independent samples of the integral pairs I(M) and I(infinity).
     Streams: chunk c of a draw uses ``STREAMS_PER_CHUNK`` consecutive Philox
     streams from c * STREAMS_PER_CHUNK: ``LATERAL_STREAMS`` for the lateral
-    field, then one each for the descent, the ascent and M.
+    field, then one each for the descent, the ascent and M.  A path stream
+    holds, per block of ``PATH_ROWS`` paths, 2 uniforms per path for the
+    entrance direction (eps > 0 only), then (rows, T/ds) normals for each of
+    the three coordinates in turn; the M stream holds one uniform per sample.
     """
 
     PATH_CHUNK = 4096
@@ -559,15 +561,12 @@ class RadialSampler:
         for c, size in enumerate(chunk_sizes(n, self.PATH_CHUNK)):
             base = c * self.STREAMS_PER_CHUNK
             zh, zbdy = self.lateral.sample(seed, size, stream_offset=base)
-            _, desc = sample_conditioned_path(self.spec, self.T, cfg.ds,
-                                              cfg.eps, seed, size,
-                                              stream=base + self.LATERAL_STREAMS)
-            t_a, asc = sample_conditioned_path(self.spec, self.T, cfg.ds,
-                                               cfg.eps, seed, size,
-                                               stream=base + self.LATERAL_STREAMS + 1)
+            desc, asc = (sample_conditioned_path(
+                self.spec, self.T, cfg.ds, cfg.eps, seed, size,
+                stream=base + self.LATERAL_STREAMS + k) for k in (0, 1))
             m = _exp_draw(self.spec.alpha, seed,
                           base + self.LATERAL_STREAMS + 2, size)
-            path = williams_concatenate(m, (t_a, desc), (t_a, asc))
+            path = williams_concatenate(m, desc, asc)
             pair_inf = compute_I(path, zh, zbdy, np.inf, self.gamma,
                                  ez_h=self.lateral.ez_h)
             out["M"].append(m)
@@ -583,17 +582,16 @@ class RadialSampler:
         return {k: np.concatenate(v) for k, v in out.items() if v}
 
 
-def radial_bulk_mass(params, rho: float, seed: int,
-                     config: RadialConfig = RadialConfig(),
-                     n: Optional[int] = None,
-                     sampler: Optional[RadialSampler] = None):
+def radial_bulk_mass(params, rho: float, seed: int, sampler: RadialSampler,
+                     n: Optional[int] = None):
     """Localized bulk mass at the origin by the radial representation:
 
         mu_H(Q(0, rho)) = rho^{2 - gamma^2/2} e^{gamma N_rho} e^{gamma M} I_H(M),
 
     with N_rho ~ Normal(0, -2 ln rho) independent of everything else.
     ``params`` carries gamma and the cube half-width r (needs rho <= r < 1 on
-    the rho side).  Returns a scalar for n=None, else an array of n draws.
+    the rho side); ``sampler`` draws (M, I_H(M)) at the same gamma.  Returns
+    a scalar for n=None, else an array of n draws.
     """
     gamma = params.gamma
     if not (0.0 < rho < 1.0):
@@ -602,8 +600,6 @@ def radial_bulk_mass(params, rho: float, seed: int,
     if rho > params.r:
         raise InvalidRho(f"rho={rho} exceeds the cube half-width r={params.r}")
     size = n if n is not None else 1
-    if sampler is None:
-        sampler = RadialSampler(gamma, config)
     draws = sampler.sample_joint(seed, size, want_truncated=True)
     rng = stream_generator(seed, 2 ** 32)  # N_rho stream, disjoint from chunks
     n_rho = np.sqrt(-2.0 * np.log(rho)) * rng.standard_normal(size)

@@ -42,10 +42,12 @@ from .fieldsim import (CovFactor, Grid, build_cov, build_grid,
                        map_field_chunks, shift_vector)
 from .gmc import GmcParams
 from .radial import RadialSampler
-from .rng import stream_generator
+from .rng import chunk_sizes, stream_generator
 
-# radial-constant bootstrap resamples and trimmed upper fraction
+# radial-constant bootstrap resamples (drawn and averaged BOOT_ROWS at a
+# time) and trimmed upper fraction
 N_BOOT = 400
+BOOT_ROWS = 16
 TRIM = 1e-3
 # quotient_rho_scan: geometrically similar grids with r = R_OVER_RHO * rho
 RHO_SCAN_N_BULK = 24
@@ -299,9 +301,11 @@ def estimate_constant_radial(params: GmcParams, N: int, seed: int,
     pref = tail_constant_prefactor(g, params.r)
     est = pref * float(q.mean())
     se = pref * float(q.std(ddof=1) / np.sqrt(N))
+    # row blocks read the stream exactly as one (N_BOOT, N) draw would
     rng = stream_generator(seed, 2 ** 33)
-    idx = rng.integers(0, N, size=(N_BOOT, N))
-    boot = pref * q[idx].mean(axis=1)
+    boot = pref * np.concatenate([
+        q[rng.integers(0, N, size=(k, N))].mean(axis=1)
+        for k in chunk_sizes(N_BOOT, BOOT_ROWS)])
     lo, hi = np.quantile(boot, [0.025, 0.975])
     cut = np.quantile(q, 1.0 - TRIM)
     trimmed = pref * float(q[q <= cut].mean())

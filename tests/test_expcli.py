@@ -104,6 +104,25 @@ def test_cli_threads_flag(tmp_path, monkeypatch):
     assert os.environ["GMCLAB_THREADS"] == "2"
 
 
+def test_tail_fit_counts_skipped_stability_windows(tmp_path):
+    """A t-grid that thins out above t = 40 leaves the upper sliding windows
+    of the stability scan with too few curve points; each one is counted in
+    record.json instead of vanishing silently."""
+    t_grid = list(np.geomspace(3.0, 40.0, 60)) \
+        + list(np.geomspace(50.0, 5000.0, 9))
+    cfg = expcli.ExperimentConfig(experiment="tail-fit", n_bulk=4, n_bdy=8,
+                                  N=4000, seed=3, t_grid=t_grid,
+                                  output_dir=str(tmp_path))
+    rec = expcli.run(cfg)
+    out = os.path.dirname(rec.artifacts[0])
+    with open(os.path.join(out, "record.json")) as fh:
+        skipped = json.load(fh)["metrics"]["stability_windows_skipped"]
+    with open(os.path.join(out, "fit_stability.csv")) as fh:
+        fitted = len(list(csv.DictReader(fh)))
+    assert 0 < skipped < 8
+    assert skipped + fitted == 8  # the scan slides over 8 windows
+
+
 def test_metrics_must_be_finite():
     rec = expcli.ResultRecord(
         config_hash="x", experiment="max-law", config={},

@@ -1,24 +1,30 @@
-"""The benchmark's span tracer still binds to gmclab.
+"""The benchmark's span tracer and workloads still bind to gmclab.
 
 ``perfbench/spans.py`` wraps gmclab functions by rebinding their names and
 its hooks read call arguments by parameter name, so renaming or removing a
 wrapped function or parameter breaks ``--trace 1`` runs.  This test installs
-the tracer, drives every hooked call once at toy sizes, and removes it.
+the tracer, drives every hooked call once at toy sizes, and removes it.  The
+radial sampler runs on the ``RadialConfig`` that ``perfbench/workloads.py``
+builds, so removing a field the benchmark sets fails here too.
 """
 
+import dataclasses
 import importlib.util
 import os
+import sys
 
 import gmclab as gm
 
-SPANS_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench", "spans.py")
+PERFBENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  SPANS_PATH)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH_DIR, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -33,7 +39,8 @@ def _bindings():
 
 
 def test_spans_install_wraps_and_restores(tmp_path):
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
+    workloads = _load_perfbench("workloads")
     before = _bindings()
     tracer = spans.Tracer()
     # raises when a wrapped name no longer binds anywhere in gmclab
@@ -47,7 +54,10 @@ def test_spans_install_wraps_and_restores(tmp_path):
         gm.gmc.bdy_mass(x, factor, grid, params, gm.gmc.region_all_bdy(grid))
         gm.tailest.localized_survival_curve(params, grid, factor, [1.0, 2.0],
                                             8, 2)
-        config = gm.radial.RadialConfig(T=4.0, ds=0.25, n_theta=8)
+        # the radial-constant workload's config, shrunk to toy sizes
+        config = dataclasses.replace(workloads._radial_config(gm), T=4.0,
+                                     ds=0.25, n_theta=8)
+        assert config.eps == workloads.RADIAL_EPS
         gm.radial.RadialSampler(1.0, config).sample_joint(3, 8)
         gm.expcli.run(gm.expcli.ExperimentConfig(
             experiment="max-law", N=1000, seed=5, output_dir=str(tmp_path)))

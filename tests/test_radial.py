@@ -7,8 +7,8 @@ from scipy import stats
 from scipy.integrate import trapezoid
 
 from gmclab import radial
-from gmclab.errors import (DegenerateStart, IndexMismatch, InvalidRho,
-                           SupercriticalWeight, TruncationTooShort)
+from gmclab.errors import (IndexMismatch, InvalidRho, SupercriticalWeight,
+                           TruncationTooShort)
 from gmclab.gmc import GmcParams, sin_power_integral
 from gmclab.kernels import lateral_cov
 from gmclab.radial import DriftSpec, LateralModel, RadialConfig, RadialSampler
@@ -62,8 +62,13 @@ def test_conditioned_path_contract():
     assert paths.shape == (500, 101)
     assert np.all(paths <= 0.0)
     assert np.all(paths[:, 0] == -1e-3)
-    with pytest.raises(DegenerateStart):
-        radial.sample_conditioned_path(spec, 5.0, 0.05, 0.0, 7)
+    # eps = 0 is the exact Williams start at the maximum
+    _, start0 = radial.sample_conditioned_path(spec, 5.0, 0.05, 0.0, 7,
+                                               n_paths=500)
+    assert np.all(start0[:, 0] == 0.0)
+    assert np.all(start0[:, 1:] < 0.0)
+    with pytest.raises(ValueError):
+        radial.sample_conditioned_path(spec, 5.0, 0.05, -1e-3, 7)
     # determinism
     _, again = radial.sample_conditioned_path(spec, 5.0, 0.05, 1e-3, 7,
                                               n_paths=500)
@@ -78,25 +83,30 @@ def test_conditioned_path_lln_drift():
     assert abs(drift + spec.alpha) / spec.alpha <= 0.05
 
 
-def test_conditioned_path_eps_insensitivity():
+def test_conditioned_path_exact_law():
+    """From the Williams start, path(s)^2 / (2 s) is noncentral chi-square
+    with 3 degrees of freedom and noncentrality lambda^2 s / 2 (the squared
+    norm of a 3-d Gaussian with mean lambda s / sqrt(2) e_1, variance s)."""
     spec = DriftSpec(1.0)
-    vals = {}
-    for eps in (1e-3, 1e-4):
-        _, paths = radial.sample_conditioned_path(spec, 1.0, 0.05, eps, 13,
-                                                  n_paths=40_000)
-        y = np.exp(paths[:, -1])
-        vals[eps] = (y.mean(), y.std(ddof=1) / np.sqrt(len(y)))
-    gap = abs(vals[1e-3][0] - vals[1e-4][0])
-    assert gap <= 2 * np.hypot(vals[1e-3][1], vals[1e-4][1])
+    lam, ds = spec.alpha, 0.1
+    times, paths = radial.sample_conditioned_path(spec, 4.0, ds, 0.0, 13,
+                                                  n_paths=20_000)
+    for s in (0.1, 1.0, 4.0):
+        k = int(round(s / ds))
+        assert times[k] == pytest.approx(s)
+        law = stats.ncx2(df=3, nc=lam ** 2 * s / 2.0)
+        p = stats.kstest(paths[:, k] ** 2 / (2.0 * s), law.cdf).pvalue
+        assert p > 1e-3, (s, p)
 
 
 def test_conditioned_step_law_against_killed_kernel():
     """One ds-step from x < 0 matches the h-transformed killed density."""
     spec = DriftSpec(1.0)
     lam, ds, x0 = spec.alpha, 0.2, -0.8
-    rng = stream_generator(3, 0)
-    x = np.full(200_000, x0)
-    y = radial._conditioned_steps(x, lam, ds, rng)
+    _, paths = radial.sample_conditioned_path(spec, ds, ds, -x0, 3,
+                                              n_paths=200_000)
+    assert np.all(paths[:, 0] == x0)
+    y = paths[:, 1]
     var = 2.0 * ds
 
     def density(y_):
@@ -294,13 +304,13 @@ def test_doubling_T_within_bound():
 
 def test_radial_bulk_mass_contract():
     params = GmcParams(1.0, 0.5)
-    cfg = RadialConfig(T=8.0, ds=0.1, n_theta=8)
+    sampler = RadialSampler(1.0, RadialConfig(T=8.0, ds=0.1, n_theta=8))
     with pytest.raises(InvalidRho):
-        radial.radial_bulk_mass(params, 1.5, 1, config=cfg)
+        radial.radial_bulk_mass(params, 1.5, 1, sampler)
     with pytest.raises(InvalidRho):
-        radial.radial_bulk_mass(params, 0.7, 1, config=cfg)  # above r
-    a = radial.radial_bulk_mass(params, 0.25, 4, config=cfg)
-    b = radial.radial_bulk_mass(params, 0.25, 4, config=cfg)
+        radial.radial_bulk_mass(params, 0.7, 1, sampler)  # above r
+    a = radial.radial_bulk_mass(params, 0.25, 4, sampler)
+    b = radial.radial_bulk_mass(params, 0.25, 4, sampler)
     assert a == b and a > 0
 
 
@@ -309,9 +319,9 @@ def test_radial_gamma_to_zero_area():
     (all weights tend to one and the chaos to Lebesgue; the spec example's
     pi rho^2 misses the 1/2 from the one-sided e^{-2s} integral)."""
     params = GmcParams(1e-4, 0.5)
-    cfg = RadialConfig(T=10.0, ds=0.01, n_theta=16)
+    sampler = RadialSampler(1e-4, RadialConfig(T=10.0, ds=0.01, n_theta=16))
     rho = 0.25
-    vals = radial.radial_bulk_mass(params, rho, 8, config=cfg, n=64)
+    vals = radial.radial_bulk_mass(params, rho, 8, sampler, n=64)
     # rectangle-rule cutoff bias is +ds relative; allow 2.5%
     assert np.allclose(vals, np.pi * rho ** 2 / 2.0, rtol=2.5e-2)
 

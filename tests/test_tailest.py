@@ -164,6 +164,27 @@ def test_estimate_constant_radial_stability():
     assert again.estimate == est.estimate
 
 
+@pytest.mark.parametrize("rows", [None, 7])
+def test_bootstrap_blocks_match_one_shot_draw(monkeypatch, rows):
+    """The bootstrap, drawn and averaged in row blocks (also blocks that do
+    not divide N_BOOT), gives the interval of one (N_BOOT, N) index draw
+    from the same stream, bit for bit."""
+    if rows is not None:
+        monkeypatch.setattr(tailest, "BOOT_ROWS", rows)
+    params = GmcParams(1.0, 0.5)
+    n, seed = 999, 8
+    rng = np.random.default_rng(4)
+    draws = {"IH_inf": rng.lognormal(size=n),
+             "Ibdy_inf": rng.lognormal(size=n), "bound_H": np.zeros(n)}
+    est = tailest.estimate_constant_radial(params, n, seed, draws=draws)
+    q = draws["IH_inf"] ** 2.0 / draws["Ibdy_inf"]
+    pref = tailest.tail_constant_prefactor(1.0, 0.5)
+    idx = stream_generator(seed, 2 ** 33).integers(0, n,
+                                                  size=(tailest.N_BOOT, n))
+    lo, hi = np.quantile(pref * q[idx].mean(axis=1), [0.025, 0.975])
+    assert est.ci_low == lo and est.ci_high == hi
+
+
 def test_zeta_tilde_identities():
     rng = np.random.default_rng(0)
     for _ in range(200):
