@@ -359,10 +359,11 @@ def _exp_tail_fit(cfg: ExperimentConfig):
         "constant_anchored_stderr": run.c_anchor_stderr,
         "window_lo": window[0],
         "window_hi": window[1],
-        "stability_min": float(min(stab)) if stab else float("nan"),
-        "stability_max": float(max(stab)) if stab else float("nan"),
         "stability_windows_skipped": STABILITY_WINDOWS - len(stab),
     }
+    if stab:  # with every window skipped there is no range to report
+        metrics["stability_min"] = float(min(stab))
+        metrics["stability_max"] = float(max(stab))
     tol = 0.15 if abs(cfg.gamma - 1.0) < 1e-9 else 0.20
     plateau_ok = bool(stab) and (min(stab) - 0.1 <= target <= max(stab) + 0.1)
     passed = abs(fit.exponent - target) <= tol and plateau_ok

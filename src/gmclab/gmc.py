@@ -105,7 +105,9 @@ def _check_region(region, n_max, what):
 def _renorm_exp(vals, diag, coupling):
     """exp(c X - c^2/2 Var X) for selected nodes, broadcasting over replicas."""
     d = diag.reshape((-1,) + (1,) * (vals.ndim - 1))
-    return np.exp(coupling * vals - 0.5 * coupling * coupling * d)
+    out = coupling * vals
+    out -= 0.5 * coupling * coupling * d
+    return np.exp(out, out=out)
 
 
 # --- plain masses -----------------------------------------------------------

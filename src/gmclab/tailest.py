@@ -550,15 +550,16 @@ def _check_eq20(gamma, p, eta, delta, dp):
 
 
 _SYSTEMS = {EQ16: _check_eq16, EQ20: _check_eq20}
+FEASIBLE_MIN_SLACK = 1e-9  # strict inequalities, up to rounding
 
 
-def verify_feasible(gamma: float, fp: FeasibleParams,
-                    min_slack: float = 1e-9) -> bool:
-    """Independent re-check: all inequalities of fp's system hold strictly."""
+def verify_feasible(gamma: float, fp: FeasibleParams) -> bool:
+    """Independent re-check: every inequality of fp's system holds with at
+    least ``FEASIBLE_MIN_SLACK`` to spare."""
     checker = _SYSTEMS.get(fp.system)
     if checker is None:
         raise ConfigInvalid(f"unknown system {fp.system!r}")
-    return checker(gamma, fp.p, fp.eta, fp.delta, fp.dp) >= min_slack
+    return checker(gamma, fp.p, fp.eta, fp.delta, fp.dp) >= FEASIBLE_MIN_SLACK
 
 
 def feasible_params(gamma: float, system: str) -> FeasibleParams:

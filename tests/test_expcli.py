@@ -123,6 +123,25 @@ def test_tail_fit_counts_skipped_stability_windows(tmp_path):
     assert skipped + fitted == 8  # the scan slides over 8 windows
 
 
+def test_tail_fit_records_when_every_stability_window_is_skipped(tmp_path):
+    """With 45 curve points over 3.2 decades no half-decade window of the
+    scan holds enough points; the record is still written, without a
+    stability range and with the plateau check failed."""
+    cfg = expcli.ExperimentConfig(experiment="tail-fit", n_bulk=4, n_bdy=8,
+                                  N=4000, seed=3,
+                                  t_grid=list(np.geomspace(3.0, 5000.0, 45)),
+                                  output_dir=str(tmp_path))
+    rec = expcli.run(cfg)
+    out = os.path.dirname(rec.artifacts[0])
+    with open(os.path.join(out, "record.json")) as fh:
+        written = json.load(fh)
+    metrics = written["metrics"]
+    assert metrics["stability_windows_skipped"] == 8
+    assert metrics["plateau_contains_target"] is False
+    assert "stability_min" not in metrics and "stability_max" not in metrics
+    assert written["passed"] is False
+
+
 def test_metrics_must_be_finite():
     rec = expcli.ResultRecord(
         config_hash="x", experiment="max-law", config={},

@@ -9,7 +9,7 @@ from gmclab import fieldsim as fs
 from gmclab import kernels
 from gmclab.errors import (ConfigInvalid, InvalidResolution,
                            NotPositiveDefinite, RegionMismatch, SingularShift)
-from gmclab.rng import thread_count
+from gmclab.rng import stream_generator, thread_count
 
 
 def test_grid_geometry_small():
@@ -123,6 +123,46 @@ def test_batch_threads_invariance(monkeypatch):
     monkeypatch.setenv("GMCLAB_THREADS", "4")
     x2 = fs.sample_field_batch(f, 9, 5000)
     assert np.array_equal(x1, x2)
+
+
+@pytest.fixture(scope="module")
+def multi_block():
+    """24x24+48 = 624 nodes: two row blocks of the triangular multiply."""
+    g = fs.build_grid(0.5, 24, 48)
+    f = fs.build_cov(g)
+    assert fs.TRI_BLOCK < f.dim <= 2 * fs.TRI_BLOCK
+    return f
+
+
+def test_blocked_multiply_matches_full_product(multi_block):
+    f = multi_block
+    n = fs.SAMPLE_CHUNK + 300
+    x = fs.sample_field_batch(f, 17, n, stream_offset=5)
+    for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK), (fs.SAMPLE_CHUNK, n)]):
+        z = stream_generator(17, 5 + c).standard_normal((f.dim, b - a))
+        full = f.lower_factor @ z
+        assert np.abs(x[:, a:b] - full).max() <= 1e-12 * np.abs(full).max()
+
+
+def test_blocked_multiply_threads_invariance(multi_block, monkeypatch):
+    f = multi_block
+    monkeypatch.setenv("GMCLAB_THREADS", "1")
+    x1 = fs.sample_field_batch(f, 9, 5000)
+    monkeypatch.setenv("GMCLAB_THREADS", "4")
+    x2 = fs.sample_field_batch(f, 9, 5000)
+    assert np.array_equal(x1, x2)
+
+
+def test_single_block_is_one_plain_product():
+    """At most TRI_BLOCK nodes (288 here) the multiply is one np.matmul of
+    the whole factor, bit for bit."""
+    g = fs.build_grid(0.5, 16, 32)
+    f = fs.build_cov(g)
+    assert f.dim <= fs.TRI_BLOCK
+    x = fs.sample_field_batch(f, 4, 3000, stream_offset=2)
+    for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK), (fs.SAMPLE_CHUNK, 3000)]):
+        z = stream_generator(4, 2 + c).standard_normal((f.dim, b - a))
+        assert np.array_equal(x[:, a:b], np.matmul(f.lower_factor, z))
 
 
 def test_thread_count_rejects_malformed_env(monkeypatch):

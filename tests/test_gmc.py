@@ -252,3 +252,30 @@ def test_tilted_masses_match_shifted_fields():
                              gmc.region_all_bdy(grid))
         np.testing.assert_allclose(mb[j], ref_b, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(md[j], ref_d, rtol=1e-12, atol=0.0)
+
+
+def test_masses_leave_the_field_unchanged(setup):
+    """The renormalized exponent is built in place on a copy: every mass
+    function leaves the caller's field as it was, batch or single field."""
+    grid, factor = setup
+    params = GmcParams(1.0, 0.5)
+    x = fs.sample_field_batch(factor, 41, 50)
+    bulk, bdy = gmc.region_all_bulk(grid), gmc.region_all_bdy(grid)
+    v = float(grid.bdy_centers[5]) + 0.1 * grid.seg_len
+    calls = [
+        lambda f: gmc.bulk_mass(f, factor, grid, params, bulk),
+        lambda f: gmc.bdy_mass(f, factor, grid, params, bdy),
+        lambda f: gmc.localized_bulk_mass(f, factor, grid, params, v, bulk),
+        lambda f: gmc.localized_bdy_mass(f, factor, grid, params, v, bdy),
+    ]
+    for field in (x, x[:, 7]):
+        before = field.copy()
+        for call in calls:
+            call(field)
+            assert np.array_equal(field, before)
+    # same arithmetic, in the same order, as exp(c X - c^2/2 Var X)
+    g = params.gamma
+    ref = np.einsum("i,i...->...", gmc.bulk_weights(grid, params),
+                    np.exp(g * x[bulk] - 0.5 * g * g
+                           * factor.diag_var[bulk][:, None]))
+    assert np.array_equal(calls[0](x), ref)
