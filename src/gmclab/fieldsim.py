@@ -8,14 +8,16 @@ is integrable).  This cell regularization makes the discrete Girsanov identity
 exact: reweighting by exp(c X_j - c^2/2 Var X_j) equals shifting every node by
 c Cov(X_i, X_j).
 
-Dense Cholesky with escalating diagonal jitter backs the sampler; resolutions
-beyond ~4e3 nodes are rejected rather than approximated.  Fields are x = L z
-with L lower triangular, multiplied in row blocks of ``TRI_BLOCK`` that each
-read only the columns up to their last row, so the zero upper triangle is
-skipped outside the diagonal blocks: n draws cost about dim^2 n flops, not
-the 2 dim^2 n of a full product.  Sampling is a pure function of (factor,
-seed) through counter-based streams, and replica batches are chunked so
-results do not depend on the worker count.
+Dense Cholesky with escalating diagonal jitter backs the sampler: LAPACK
+factors the assembled matrix in place, and a failed jitter rung assembles it
+again before the next.  Resolutions beyond ~4e3 nodes are rejected rather
+than approximated.  Fields are x = L z with L lower triangular, multiplied
+in row blocks of ``TRI_BLOCK`` that each read only the columns up to their
+last row, so the zero upper triangle is skipped outside the diagonal blocks:
+n draws cost about dim^2 n flops, not the 2 dim^2 n of a full product.
+Sampling is a pure function of (factor, seed) through counter-based streams,
+and replica batches are chunked so results do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import kernels
 from .cellavg import neg_log_avg_segment, neg_log_avg_tri
@@ -159,8 +162,10 @@ def build_cov(grid: Grid,
     Off-diagonal entries are kernel values at node centers, bulk/boundary
     cross blocks included; diagonal entries are exact cell averages.
     ``kernels.pairwise`` is exactly symmetric, so the matrix needs no
-    symmetrization.  Escalating diagonal jitter is added until Cholesky
-    succeeds.
+    symmetrization.  LAPACK factors the assembled matrix in place, so the
+    factor takes its memory.  Escalating diagonal jitter is added until the
+    factorization succeeds; a failed attempt leaves the matrix partly
+    overwritten, so it is assembled again before the next rung.
 
     The boundary restriction -2 ln|x - y| is defined on the real line only,
     so for that kind only the boundary block is assembled and factored: the
@@ -172,18 +177,31 @@ def build_cov(grid: Grid,
     if kernel.kind == kernels.BOUNDARY_RESTRICTION:
         pts = pts[grid.n_bulk_cells:]
     dim = len(pts)
-    cov = kernels.pairwise(kernel, pts, pts)
-    cov[np.arange(dim), np.arange(dim)] = _diag_cell_averages(grid, kernel)
+    diag = _diag_cell_averages(grid, kernel)
 
+    def assemble():
+        cov = kernels.pairwise(kernel, pts, pts)
+        np.fill_diagonal(cov, diag)
+        return cov
+
+    cov = assemble()
     base = 1e-12 * np.trace(cov) / dim
-    cap = 1e-6 * np.max(np.abs(cov))
+    cap = 1e-6 * max(cov.max(), -cov.min())  # max |entry|, no n x n temporary
     jitters = [0.0] + [base * 10.0 ** k for k in range(7)
                        if base * 10.0 ** k < cap] + [cap]
     for jit in jitters:
+        if cov is None:
+            cov = assemble()
+        if jit:
+            cov.flat[::dim + 1] += jit
         try:
-            lower = np.linalg.cholesky(
-                cov + jit * np.eye(dim) if jit else cov)
+            # cov is symmetric, so its transpose is the same matrix in
+            # Fortran order: LAPACK writes the upper factor U = L^T over it,
+            # and the C-ordered L comes back as the transpose of U
+            lower = scipy.linalg.cholesky(cov.T, overwrite_a=True,
+                                          check_finite=False).T
         except np.linalg.LinAlgError:
+            cov = None
             continue
         diag_var = np.einsum("ij,ij->i", lower, lower)
         return CovFactor(dim=dim, lower_factor=lower,
@@ -233,6 +251,7 @@ def map_field_chunks(factor: CovFactor, seed: int, n: int,
         for i in range(0, dim, TRI_BLOCK):
             j = min(i + TRI_BLOCK, dim)
             np.matmul(lower[i:j, :j], z[:j], out=x[i:j])
+        del z  # one chunk-sized array fewer while fn runs
         return fn(x)
 
     workers = thread_count()

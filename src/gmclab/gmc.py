@@ -102,6 +102,16 @@ def _check_region(region, n_max, what):
     return region
 
 
+def _as_slice(idx: np.ndarray):
+    """A slice for a non-empty run of consecutive indices, else ``idx``.
+
+    Indexing with the slice gives a view, where ``idx`` would copy the rows.
+    """
+    if idx[-1] - idx[0] == idx.size - 1 and np.all(np.diff(idx) == 1):
+        return slice(idx[0], idx[-1] + 1)
+    return idx
+
+
 def _renorm_exp(vals, diag, coupling):
     """exp(c X - c^2/2 Var X) for selected nodes, broadcasting over replicas."""
     d = diag.reshape((-1,) + (1,) * (vals.ndim - 1))
@@ -157,7 +167,8 @@ def _mass(field, factor: CovFactor, grid: Grid, params: GmcParams, region,
     if not region.size:
         out = np.zeros(vals.shape[1:])
     else:
-        ex = _renorm_exp(vals[idx], factor.diag_var[idx], coupling)
+        rows = _as_slice(idx)
+        ex = _renorm_exp(vals[rows], factor.diag_var[rows], coupling)
         out = np.einsum("i,i...->...", w, ex)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -47,6 +47,8 @@ KERNEL_KINDS = (
     PERTURBED,
 )
 
+PAIRWISE_BLOCK = 1 << 16  # output entries per row block of ``pairwise``
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -177,6 +179,11 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
     boundary restriction is defined on the real line only and raises
     ``ValueError`` for any point with y != 0: its natural extension
     -2 ln|z - conj(w)| is not positive definite on bulk points.
+
+    Each entry takes one logarithm of squared distances, and the matrix is
+    filled in blocks of rows, so no temporary is as large as the output.
+    Every operation is symmetric in its two points, so ``pairwise(spec, p,
+    p)`` is exactly symmetric.
     """
     pts_a = np.asarray(pts_a, dtype=float)
     pts_b = np.asarray(pts_b, dtype=float)
@@ -184,32 +191,48 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
             np.any(pts_a[:, 1] != 0.0) or np.any(pts_b[:, 1] != 0.0)):
         raise ValueError("the boundary restriction is defined on the real "
                          "line only; got points with y != 0")
-    ya, yb = pts_a[:, 1][:, None], pts_b[:, 1][None, :]
-    # every n x n temporary is computed in place or freed once used: at the
-    # dense node ceiling each one is about 110 MB
-    dx = pts_a[:, 0][:, None] - pts_b[:, 0][None, :]
-    d_direct = np.subtract(ya, yb)
-    np.hypot(dx, d_direct, out=d_direct)
-    d_image = np.add(ya, yb)
-    np.hypot(dx, d_image, out=d_image)
-    del dx
-    with np.errstate(divide="ignore"):
-        if spec.kind in (EXACT_SCALING_NEUMANN, PERTURBED):
-            # -ln d_direct - ln d_image (+ g)
-            out = np.negative(np.log(d_direct, out=d_direct), out=d_direct)
-            out -= np.log(d_image, out=d_image)
-            if spec.kind == PERTURBED:
-                out += _g_matrix(spec.g, pts_a, pts_b)
-            return out
-        if spec.kind == DIRICHLET_PART:
-            # coincident boundary points would give inf - inf
-            out = np.full(d_direct.shape, np.inf)
-            off = d_direct > 0.0
-            out[off] = -np.log(d_direct[off]) + np.log(d_image[off])
-            return out
-        if spec.kind == BOUNDARY_RESTRICTION:
-            return -2.0 * np.log(d_image)
-    raise ValueError(f"pairwise evaluation not defined for kind {spec.kind!r}")
+    if spec.kind not in (EXACT_SCALING_NEUMANN, PERTURBED, DIRICHLET_PART,
+                         BOUNDARY_RESTRICTION):
+        raise ValueError(f"pairwise evaluation not defined for kind {spec.kind!r}")
+    out = np.empty((len(pts_a), len(pts_b)))
+    xb, yb = pts_b[:, 0], pts_b[:, 1]
+    rows = max(1, PAIRWISE_BLOCK // max(1, len(pts_b)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, len(pts_a), rows):
+            blk = out[i:i + rows]
+            xa = pts_a[i:i + rows, 0][:, None]
+            ya = pts_a[i:i + rows, 1][:, None]
+            dx2 = np.subtract(xa, xb)
+            dx2 *= dx2
+            if spec.kind == BOUNDARY_RESTRICTION:
+                # -2 ln|x - y| = -ln (x - y)^2
+                np.negative(np.log(dx2, out=blk), out=blk)
+                continue
+            d1sq = np.subtract(ya, yb)
+            d1sq *= d1sq
+            d1sq += dx2
+            if spec.kind == DIRICHLET_PART:
+                # ln(|z - conj(w)|/|z - w|) = 1/2 ln(1 + 4 y y' / |z - w|^2):
+                # no cancellation when the two distances are close
+                np.multiply(ya, yb, out=blk)
+                blk *= 4.0
+                blk /= d1sq
+                np.log1p(blk, out=blk)
+                blk *= 0.5
+                # coincident boundary points would give 0/0
+                blk[d1sq == 0.0] = np.inf
+                continue
+            d2sq = np.add(ya, yb)
+            d2sq *= d2sq
+            d2sq += dx2
+            # -ln(|z - w| |z - conj(w)|) = -1/2 ln(|z - w|^2 |z - conj(w)|^2)
+            d1sq *= d2sq
+            np.log(d1sq, out=blk)
+            blk *= -0.5
+    if spec.kind == PERTURBED:
+        # user code on the full broadcast, evaluated once
+        out += _g_matrix(spec.g, pts_a, pts_b)
+    return out
 
 
 # --- semicircle averages ----------------------------------------------------

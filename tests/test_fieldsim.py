@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gmclab import fieldsim as fs
 from gmclab import kernels
@@ -53,6 +54,32 @@ def test_cov_factor_reconstruction():
     k = kernels.pairwise(kernels.KernelSpec(), pts, pts)
     off = ~np.eye(g.n_nodes, dtype=bool)
     assert np.abs((cov - k)[off]).max() <= f.jitter_used + 1e-12
+
+
+def test_failed_jitter_rung_reassembles_the_matrix(monkeypatch):
+    """The factorization overwrites the matrix, so a failed rung must not
+    leave its remains to the next one."""
+    real = scipy.linalg.cholesky
+    calls = []
+
+    def fail_first(a, *args, **kwargs):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            a *= 2.0  # an in-place attempt leaves the matrix overwritten
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+        return real(a, *args, **kwargs)
+
+    g = fs.build_grid(0.5, 6, 12)
+    monkeypatch.setattr(scipy.linalg, "cholesky", fail_first)
+    f = fs.build_cov(g)
+    assert len(calls) == 2 and f.jitter_used > 0.0
+    pts = g.node_points()
+    cov = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+    np.fill_diagonal(cov, fs._diag_cell_averages(g, kernels.KernelSpec()))
+    cov += f.jitter_used * np.eye(g.n_nodes)
+    assert np.abs(f.covariance() - cov).max() <= 1e-10
+    lower = f.lower_factor
+    assert lower.flags["C_CONTIGUOUS"] and not np.any(np.triu(lower, 1))
 
 
 def test_not_positive_definite_on_large_cube():

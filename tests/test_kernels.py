@@ -131,6 +131,61 @@ def test_pairwise_matches_scalar():
                          pts, pts)
 
 
+def test_pairwise_matches_scalar_kernels_randomized():
+    """Every kind against its scalar form, on random points and on pairs
+    1e-8 apart.  The scalar forms add two logarithms, so entries near zero
+    carry an absolute rounding of a few ulps of ln d; hence the small atol."""
+    rng = np.random.default_rng(23)
+    n = 120
+    bulk = np.column_stack([rng.uniform(-0.5, 0.5, n), rng.uniform(0, 1, n)])
+    bulk[:10, 1] = 0.0  # boundary points among the bulk ones
+    near = bulk[10:40] + rng.uniform(-1e-8, 1e-8, (30, 2))
+    near[:, 1] = np.abs(near[:, 1])
+    pts = np.vstack([bulk, near])
+    line = np.column_stack([np.concatenate([pts[:, 0], pts[:40, 0] + 1e-8]),
+                            np.zeros(len(pts) + 40)])
+    cases = (
+        (kernels.KernelSpec(), pts, kernels.eval_neumann),
+        (kernels.KernelSpec(kind=kernels.DIRICHLET_PART), pts,
+         kernels.eval_dirichlet),
+        (kernels.KernelSpec(kind=kernels.BOUNDARY_RESTRICTION), line,
+         lambda p, q: kernels.eval_boundary(p[0], q[0])))
+    for spec, p, scalar in cases:
+        mat = kernels.pairwise(spec, p, p)
+        off = ~np.eye(len(p), dtype=bool)
+        ref = np.array([[scalar(a, b) if i != j else 0.0
+                         for j, b in enumerate(p)] for i, a in enumerate(p)])
+        np.testing.assert_allclose(mat[off], ref[off], rtol=1e-13, atol=1e-14,
+                                   err_msg=spec.kind)
+        assert np.all(np.isposinf(np.diag(mat))), spec.kind
+
+
+def test_pairwise_coincident_points_are_infinite():
+    pts = np.array([[0.1, 0.3], [0.1, 0.3], [-0.2, 0.0], [-0.2, 0.0]])
+    for kind in (kernels.EXACT_SCALING_NEUMANN, kernels.DIRICHLET_PART):
+        mat = kernels.pairwise(kernels.KernelSpec(kind=kind), pts, pts)
+        assert np.isposinf(mat[0, 1]) and np.isposinf(mat[2, 3]), kind
+        assert np.all(np.isfinite(mat[:2, 2:])), kind
+    line = pts[2:]
+    mat = kernels.pairwise(
+        kernels.KernelSpec(kind=kernels.BOUNDARY_RESTRICTION), line, line)
+    assert np.all(np.isposinf(mat))
+
+
+def test_pairwise_blocks_match_one_block(monkeypatch):
+    """Row blocks change nothing: a one-row block gives the same matrix."""
+    rng = np.random.default_rng(3)
+    pts = np.column_stack([rng.uniform(-1, 1, 50), rng.uniform(0, 2, 50)])
+    specs = (kernels.KernelSpec(),
+             kernels.KernelSpec(kind=kernels.DIRICHLET_PART),
+             kernels.KernelSpec(kind=kernels.PERTURBED,
+                                g=lambda a, b: a[..., 1] * b[..., 1]))
+    whole = [kernels.pairwise(s, pts, pts[:20]) for s in specs]
+    monkeypatch.setattr(kernels, "PAIRWISE_BLOCK", 1)
+    for s, m in zip(specs, whole):
+        assert np.array_equal(kernels.pairwise(s, pts, pts[:20]), m), s.kind
+
+
 def test_scalar_only_perturbation_falls_back_with_log(caplog):
     """A g that fails on broadcast points is evaluated pair by pair, and
     the fallback is logged."""

@@ -79,3 +79,16 @@ def test_spans_install_wraps_and_restores(tmp_path):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_worker_clears_the_cell_average_cache(monkeypatch):
+    """``perfbench/worker.py`` drops the memoized cell averages before each
+    repetition; losing the cache or renaming the function would crash every
+    benchmark run."""
+    monkeypatch.syspath_prepend(PERFBENCH_DIR)  # the worker's own imports
+    worker = _load_perfbench("worker")
+    cell = gm.cellavg.neg_log_avg_tri
+    cell(0.25, -0.25, 0.25)
+    assert cell.cache_info().currsize > 0
+    worker.clear_caches()
+    assert cell.cache_info().currsize == 0
