@@ -26,7 +26,8 @@ class InvalidResolution(GmclabError):
 
 
 class NotPositiveDefinite(GmclabError):
-    """Covariance factorization failed even after maximum diagonal jitter."""
+    """A covariance to be factored exactly has a negative eigenvalue (or is
+    numerically singular); no jitter or clipping is applied to rescue it."""
 
 
 class SingularShift(GmclabError):

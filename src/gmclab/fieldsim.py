@@ -8,16 +8,16 @@ is integrable).  This cell regularization makes the discrete Girsanov identity
 exact: reweighting by exp(c X_j - c^2/2 Var X_j) equals shifting every node by
 c Cov(X_i, X_j).
 
-Dense Cholesky with escalating diagonal jitter backs the sampler: LAPACK
-factors the assembled matrix in place, and a failed jitter rung assembles it
-again before the next.  Resolutions beyond ~4e3 nodes are rejected rather
-than approximated.  Fields are x = L z with L lower triangular, multiplied
-in row blocks of ``TRI_BLOCK`` that each read only the columns up to their
-last row, so the zero upper triangle is skipped outside the diagonal blocks:
-n draws cost about dim^2 n flops, not the 2 dim^2 n of a full product.
-Sampling is a pure function of (factor, seed) through counter-based streams,
-and replica batches are chunked so results do not depend on the worker
-count.
+One exact dense Cholesky factorization backs the sampler: LAPACK factors
+the assembled matrix in place, with no diagonal jitter, and a matrix that is
+not positive definite raises.  Resolutions beyond ~4e3 nodes are rejected
+rather than approximated.  Fields are x = L z with L lower triangular,
+multiplied in row blocks of ``TRI_BLOCK`` that each read only the columns up
+to their last row, so the zero upper triangle is skipped outside the diagonal
+blocks: n draws cost about dim^2 n flops, not the 2 dim^2 n of a full
+product.  Sampling is a pure function of (factor, seed) through
+counter-based streams, and replica batches are chunked so results do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -103,7 +103,11 @@ def build_grid(r: float, n_bulk: int, n_bdy: int) -> Grid:
 
 @dataclass(frozen=True)
 class CovFactor:
-    """Dense lower-triangular factor of the (jittered) node covariance."""
+    """Dense lower-triangular factor of the node covariance.
+
+    ``jitter_used`` is always 0.0: the covariance is factored exactly, with
+    no diagonal jitter.
+    """
 
     dim: int
     lower_factor: np.ndarray
@@ -112,7 +116,7 @@ class CovFactor:
     kernel: kernels.KernelSpec
 
     def cov_column(self, j: int) -> np.ndarray:
-        """Column j of the factored covariance, L L^T e_j (jitter included)."""
+        """Column j of the factored covariance, L L^T e_j."""
         return self.lower_factor @ self.lower_factor[j, :]
 
     def covariance(self) -> np.ndarray:
@@ -124,12 +128,11 @@ def _diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
     """Exact cell-averaged self-covariances E[X_cell^2] per factored node.
 
     Bulk then boundary nodes; the boundary restriction covers the boundary
-    nodes only.
+    nodes only and the Dirichlet part the bulk nodes only.
     """
     if kernel.kind == kernels.BOUNDARY_RESTRICTION:
         return np.full(grid.n_bdy, 2.0 * neg_log_avg_segment(grid.seg_len))
     nb2 = grid.n_bulk_cells
-    diag = np.empty(grid.n_nodes)
     # all bulk cells share the direct term; the image term depends on the row
     direct = neg_log_avg_tri(grid.dx, -grid.dy, grid.dy)
     yo_levels = grid.dy * np.arange(grid.n_bulk)
@@ -137,21 +140,17 @@ def _diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
         neg_log_avg_tri(grid.dx, 2.0 * yo, 2.0 * yo + 2.0 * grid.dy)
         for yo in yo_levels])
     rows = np.arange(nb2) // grid.n_bulk
-    if kernel.kind in (kernels.EXACT_SCALING_NEUMANN, kernels.PERTURBED):
-        diag[:nb2] = direct + image_by_row[rows]
-    elif kernel.kind == kernels.DIRICHLET_PART:
-        diag[:nb2] = direct - image_by_row[rows]
-    else:
-        raise ValueError(f"kernel kind {kernel.kind!r} is not a half-plane kernel")
-    # on the boundary every kind above restricts to -2 ln|x - y| except the
-    # Dirichlet part, which vanishes there
     if kernel.kind == kernels.DIRICHLET_PART:
-        diag[nb2:] = 0.0
-    else:
-        diag[nb2:] = 2.0 * neg_log_avg_segment(grid.seg_len)
+        return direct - image_by_row[rows]
+    if kernel.kind not in (kernels.EXACT_SCALING_NEUMANN, kernels.PERTURBED):
+        raise ValueError(f"kernel kind {kernel.kind!r} is not a half-plane kernel")
+    diag = np.empty(grid.n_nodes)
+    diag[:nb2] = direct + image_by_row[rows]
+    # on the boundary both kinds restrict to -2 ln|x - y|
+    diag[nb2:] = 2.0 * neg_log_avg_segment(grid.seg_len)
     if kernel.kind == kernels.PERTURBED:
         pts = grid.node_points()
-        diag += np.array([float(kernel.g(p, p)) for p in pts])
+        diag += kernel.g(pts, pts)
     return diag
 
 
@@ -162,61 +161,47 @@ def build_cov(grid: Grid,
     Off-diagonal entries are kernel values at node centers, bulk/boundary
     cross blocks included; diagonal entries are exact cell averages.
     ``kernels.pairwise`` is exactly symmetric, so the matrix needs no
-    symmetrization.  LAPACK factors the assembled matrix in place, so the
-    factor takes its memory.  Escalating diagonal jitter is added until the
-    factorization succeeds; a failed attempt leaves the matrix partly
-    overwritten, so it is assembled again before the next rung.
+    symmetrization.  LAPACK factors the assembled matrix once, in place, so
+    the factor takes its memory; no jitter is added, and a matrix that is
+    not positive definite raises ``NotPositiveDefinite``.
 
-    The boundary restriction -2 ln|x - y| is defined on the real line only,
-    so for that kind only the boundary block is assembled and factored: the
-    factor has ``dim == grid.n_bdy``, boundary nodes in grid order.
+    Two kinds live on part of the nodes only.  The boundary restriction
+    -2 ln|x - y| is defined on the real line, so its factor covers the
+    boundary nodes (``dim == grid.n_bdy``).  The Dirichlet part vanishes
+    identically on the boundary, where its rows and columns would be exact
+    zeros, so its factor covers the bulk nodes (``dim ==
+    grid.n_bulk_cells``).  Nodes stay in grid order.
     """
     if kernel is None:
         kernel = kernels.KernelSpec()
     pts = grid.node_points()
     if kernel.kind == kernels.BOUNDARY_RESTRICTION:
         pts = pts[grid.n_bulk_cells:]
-    dim = len(pts)
-    diag = _diag_cell_averages(grid, kernel)
-
-    def assemble():
-        cov = kernels.pairwise(kernel, pts, pts)
-        np.fill_diagonal(cov, diag)
-        return cov
-
-    cov = assemble()
-    base = 1e-12 * np.trace(cov) / dim
-    cap = 1e-6 * max(cov.max(), -cov.min())  # max |entry|, no n x n temporary
-    jitters = [0.0] + [base * 10.0 ** k for k in range(7)
-                       if base * 10.0 ** k < cap] + [cap]
-    for jit in jitters:
-        if cov is None:
-            cov = assemble()
-        if jit:
-            cov.flat[::dim + 1] += jit
-        try:
-            # cov is symmetric, so its transpose is the same matrix in
-            # Fortran order: LAPACK writes the upper factor U = L^T over it,
-            # and the C-ordered L comes back as the transpose of U
-            lower = scipy.linalg.cholesky(cov.T, overwrite_a=True,
-                                          check_finite=False).T
-        except np.linalg.LinAlgError:
-            cov = None
-            continue
-        diag_var = np.einsum("ij,ij->i", lower, lower)
-        return CovFactor(dim=dim, lower_factor=lower,
-                         diag_var=diag_var, jitter_used=jit, kernel=kernel)
-    raise NotPositiveDefinite(
-        f"covariance not factorable even with jitter {cap:.3e} "
-        f"(grid r={grid.r}, {grid.n_bulk}x{grid.n_bulk}+{grid.n_bdy}); "
-        "log kernels are positive definite only on small cubes")
+    elif kernel.kind == kernels.DIRICHLET_PART:
+        pts = pts[:grid.n_bulk_cells]
+    cov = kernels.pairwise(kernel, pts, pts)
+    np.fill_diagonal(cov, _diag_cell_averages(grid, kernel))
+    try:
+        # cov is symmetric, so its transpose is the same matrix in Fortran
+        # order: LAPACK writes the upper factor U = L^T over it, and the
+        # C-ordered L comes back as the transpose of U
+        lower = scipy.linalg.cholesky(cov.T, overwrite_a=True,
+                                      check_finite=False).T
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            f"covariance is not positive definite (grid r={grid.r}, "
+            f"{grid.n_bulk}x{grid.n_bulk}+{grid.n_bdy}, {kernel.kind}); "
+            "log kernels are positive definite only on small cubes") from exc
+    diag_var = np.einsum("ij,ij->i", lower, lower)
+    return CovFactor(dim=len(pts), lower_factor=lower, diag_var=diag_var,
+                     jitter_used=0.0, kernel=kernel)
 
 
 def check_node_factor(factor: CovFactor, grid: Grid) -> None:
     """Raise ``RegionMismatch`` unless ``factor`` covers every grid node.
 
     Node indexing (bulk first, then boundary) assumes a full-grid factor; a
-    boundary-only factor would otherwise be read as bulk values.
+    boundary-only or bulk-only factor would otherwise be misread.
     """
     if factor.dim != grid.n_nodes:
         raise RegionMismatch(
@@ -277,7 +262,7 @@ def shift_vector(factor: CovFactor, grid: Grid, v: float, charge: float) -> np.n
     """Girsanov drift charge * Cov(., X at boundary point v).
 
     When v is a segment midpoint this is exactly ``charge`` times the factored
-    covariance column of that node (discrete Cameron-Martin, jitter included).
+    covariance column of that node (discrete Cameron-Martin).
     For generic v the kernel is evaluated at (v, 0) against node centers, with
     the segment containing v taking the segment-averaged kernel value.
     """
@@ -299,8 +284,6 @@ def shift_vector(factor: CovFactor, grid: Grid, v: float, charge: float) -> np.n
     if factor.kernel.kind == kernels.PERTURBED:
         avg += float(factor.kernel.g(np.array([grid.bdy_centers[j], 0.0]),
                                      np.array([v, 0.0])))
-    elif factor.kernel.kind == kernels.DIRICHLET_PART:
-        avg = 0.0
     col[grid.n_bulk_cells + j] = avg
     return charge * col
 

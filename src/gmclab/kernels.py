@@ -21,7 +21,6 @@ and the field decomposes as X = sqrt(2) B_t + Y with Y the lateral noise.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,8 +29,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .cellavg import SEGMENT_LOG_CONST
 from .errors import DiagonalSingularity, QuadratureUnstable
-
-log = logging.getLogger(__name__)
 
 EXACT_SCALING_NEUMANN = "exact_scaling_neumann"
 DIRICHLET_PART = "dirichlet_part"
@@ -54,8 +51,9 @@ PAIRWISE_BLOCK = 1 << 16  # output entries per row block of ``pairwise``
 class KernelSpec:
     """Which covariance kernel to use and, for ``perturbed``, its g term.
 
-    ``g`` must be symmetric, g(z, w) = g(w, z), and is called with point
-    arrays of shape (..., 2); a scalar implementation is wrapped on the fly.
+    ``g`` must be symmetric, g(z, w) = g(w, z), and vectorized: it is called
+    with point arrays of shape (..., 2) that broadcast against each other and
+    must return their broadcast shape.
     """
 
     kind: str = EXACT_SCALING_NEUMANN
@@ -150,24 +148,12 @@ def eval_lateral(t: float, theta: float, t2: float, theta2: float) -> float:
 
 
 def _g_matrix(g: Callable, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    za = pts_a[:, None, :]
-    zb = pts_b[None, :, :]
-    try:
-        out = np.asarray(g(za, zb), dtype=float)
-    except Exception as exc:  # any failure of a user g on broadcast points
-        log.warning("perturbation g is not vectorized (%s: %s); evaluating "
-                    "%d x %d pairs one by one", type(exc).__name__, exc,
-                    len(pts_a), len(pts_b))
-    else:
-        if out.shape == (len(pts_a), len(pts_b)):
-            return out
-        log.warning("perturbation g returned shape %s on broadcast points, "
-                    "not (%d, %d); evaluating pairs one by one", out.shape,
-                    len(pts_a), len(pts_b))
-    out = np.empty((len(pts_a), len(pts_b)))
-    for i, p in enumerate(pts_a):
-        for j, q in enumerate(pts_b):
-            out[i, j] = g(p, q)
+    """g on every pair, in one call on broadcast (n_a, 1, 2), (1, n_b, 2) points."""
+    out = np.asarray(g(pts_a[:, None, :], pts_b[None, :, :]), dtype=float)
+    if out.shape != (len(pts_a), len(pts_b)):
+        raise ValueError(f"perturbation g returned shape {out.shape} on "
+                         f"broadcast points, not ({len(pts_a)}, {len(pts_b)}); "
+                         "g must be vectorized")
     return out
 
 

@@ -24,8 +24,9 @@ Samplers:
   1981): cumulative sums of Gaussian increments, started at the maximum
   itself (the Williams start) or at a given depth;
 - the lateral field by block-circulant embedding over the s-axis (the
-  covariance is stationary in s and decays exponentially), exact when the
-  embedding spectrum is nonnegative, which is checked;
+  covariance is stationary in s and decays exponentially), exact because
+  every mode of the embedding spectrum is checked to be nonnegative: a
+  negative mode raises, nothing is clipped;
 - cell-averaged diagonal variances so every renormalized exponential has
   mean one by construction.
 
@@ -230,11 +231,13 @@ class LateralModel:
 
     The field is stationary in s; embedding the Toeplitz blocks in a block
     circulant of period 2 n_s and taking an FFT gives one small spectral
-    matrix per Fourier mode, sampled exactly when all modes are PSD (tiny
-    negative eigenvalues are clipped within a relative budget).
+    matrix per Fourier mode.  Every mode must be PSD, and the embedding is
+    then sampled exactly; any negative eigenvalue raises
+    ``NotPositiveDefinite``.  ``clip_report`` records the smallest and
+    largest mode eigenvalues; nothing is clipped.
     """
 
-    def __init__(self, gamma: float, T: float, ds: float, n_theta: int = 64):
+    def __init__(self, gamma: float, T: float, ds: float, n_theta: int):
         if not (0.0 < gamma < 2.0):
             raise ValueError("gamma must lie in (0, 2)")
         # E[Z_H] = int (sin theta)^{-gamma^2/2} diverges from sqrt(2) on; this
@@ -352,14 +355,13 @@ class LateralModel:
                 f"embedding spectrum not real (imag {max_imag:.2e})")
         spec = spec.real
         lam, vec = np.linalg.eigh(spec)
-        neg = lam.min()
-        if neg < -1e-8 * lam.max():
+        lo = lam.min()
+        if lo < 0.0:
             raise NotPositiveDefinite(
-                f"circulant embedding has negative modes ({neg:.3e}); "
+                f"circulant embedding has negative modes ({lo:.3e}); "
                 "increase T or lower ds")
-        self.clip_report = {"min_eigenvalue": float(neg),
+        self.clip_report = {"min_eigenvalue": float(lo),
                             "max_eigenvalue": float(lam.max())}
-        lam = np.clip(lam, 0.0, None)
         # sampling runs in float32: per-entry rounding is ~1e-7 of the
         # covariance scale, far below Monte Carlo resolution
         self._factor = (vec * np.sqrt(lam)[:, None, :]).astype(np.float32)
@@ -414,7 +416,7 @@ class LateralModel:
 
     def covariance_check(self) -> float:
         """Max abs error of the embedded covariance against the target blocks
-        at all kept lags (zero when no clipping occurred)."""
+        at all kept lags (float32 rounding of the factor only)."""
         n_p = self.n_p
         spec = np.matmul(self._factor, np.swapaxes(self._factor, 1, 2))
         rec = np.fft.ifft(spec, axis=0).real
@@ -514,11 +516,14 @@ def default_horizon(gamma: float) -> float:
 @dataclass(frozen=True)
 class RadialConfig:
     """Discretization of the radial sampler; ``eps`` is the start depth of
-    both path halves below the maximum (0: the exact Williams start)."""
+    both path halves below the maximum (0: the exact Williams start).
 
+    ``ds`` and ``n_theta`` have no default here: the lab's defaults live in
+    ``expcli.ExperimentConfig`` alone."""
+
+    ds: float
+    n_theta: int
     T: Optional[float] = None
-    ds: float = 0.05
-    n_theta: int = 64
     eps: float = 0.0
 
     def horizon(self, gamma: float) -> float:
@@ -544,7 +549,7 @@ class RadialSampler:
     LATERAL_STREAMS = -(-PATH_CHUNK // LATERAL_CHUNK)
     STREAMS_PER_CHUNK = LATERAL_STREAMS + 3
 
-    def __init__(self, gamma: float, config: RadialConfig = RadialConfig()):
+    def __init__(self, gamma: float, config: RadialConfig):
         self.gamma = float(gamma)
         self.spec = DriftSpec(gamma)
         self.config = config

@@ -284,19 +284,18 @@ class ConstantEstimate:
 
 
 def estimate_constant_radial(params: GmcParams, N: int, seed: int,
-                             draws: Optional[dict] = None) -> ConstantEstimate:
+                             draws: dict) -> ConstantEstimate:
     """Monte Carlo estimate of C = 2r (1-gamma^2/4) E[IH(inf)^{2/g^2}/Ibdy(inf)].
 
-    ``draws`` come from ``RadialSampler.sample_joint``; without them N draws
-    are made with the default ``RadialConfig``.  The integrand has finite
+    ``draws`` are N draws from ``RadialSampler.sample_joint``; a different
+    draw count raises ``ValueError``.  The integrand has finite
     mean but infinite variance near gamma = 1, so a bootstrap percentile
     interval (``N_BOOT`` resamples) and a trimmed mean (upper ``TRIM``
     fraction removed) accompany the plain average.
     """
     g = params.gamma
-    if draws is None:
-        draws = RadialSampler(g).sample_joint(seed, N, want_truncated=False)
-    N = draws["IH_inf"].size
+    if draws["IH_inf"].size != N:
+        raise ValueError(f"N={N} but draws hold {draws['IH_inf'].size} samples")
     q = draws["IH_inf"] ** (2.0 / g ** 2) / draws["Ibdy_inf"]
     pref = tail_constant_prefactor(g, params.r)
     est = pref * float(q.mean())
@@ -384,8 +383,7 @@ def estimate_quotient_moment(p: float, q: float, gamma: float, mode: str,
                              keep_running: bool = False) -> QuotientMomentEstimate:
     """MC estimate of a bulk/boundary quotient moment.
 
-    mode="radial": E[IH(inf)^p / Ibdy(inf)^q] from ``sampler`` (a default
-    ``RadialSampler`` when None).
+    mode="radial": E[IH(inf)^p / Ibdy(inf)^q] from ``sampler``.
     mode="grid":   E[mu^H_v(A)^p / mu^bdy_v(I)^q] with A, I the half-disk and
     interval of radius ``rho`` at ``v`` (region="ball") or their complements
     in Q_r (region="complement"), under the plain field law.
@@ -394,7 +392,7 @@ def estimate_quotient_moment(p: float, q: float, gamma: float, mode: str,
         raise ValueError("p, q must be nonnegative")
     if mode == "radial":
         if sampler is None:
-            sampler = RadialSampler(gamma)
+            raise ConfigInvalid("radial mode needs a sampler")
         draws = sampler.sample_joint(seed, N, want_truncated=False)
         vals = draws["IH_inf"] ** p / draws["Ibdy_inf"] ** q
     elif mode == "grid":

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from gmclab import fieldsim as fs
-from gmclab import kernels
+from gmclab import gmc, kernels
 from gmclab.errors import (ConfigInvalid, InvalidResolution,
                            NotPositiveDefinite, RegionMismatch, SingularShift)
 from gmclab.rng import stream_generator, thread_count
@@ -53,33 +53,31 @@ def test_cov_factor_reconstruction():
     pts = g.node_points()
     k = kernels.pairwise(kernels.KernelSpec(), pts, pts)
     off = ~np.eye(g.n_nodes, dtype=bool)
-    assert np.abs((cov - k)[off]).max() <= f.jitter_used + 1e-12
-
-
-def test_failed_jitter_rung_reassembles_the_matrix(monkeypatch):
-    """The factorization overwrites the matrix, so a failed rung must not
-    leave its remains to the next one."""
-    real = scipy.linalg.cholesky
-    calls = []
-
-    def fail_first(a, *args, **kwargs):
-        calls.append(a.shape)
-        if len(calls) == 1:
-            a *= 2.0  # an in-place attempt leaves the matrix overwritten
-            raise np.linalg.LinAlgError("leading minor not positive definite")
-        return real(a, *args, **kwargs)
-
-    g = fs.build_grid(0.5, 6, 12)
-    monkeypatch.setattr(scipy.linalg, "cholesky", fail_first)
-    f = fs.build_cov(g)
-    assert len(calls) == 2 and f.jitter_used > 0.0
-    pts = g.node_points()
-    cov = kernels.pairwise(kernels.KernelSpec(), pts, pts)
-    np.fill_diagonal(cov, fs._diag_cell_averages(g, kernels.KernelSpec()))
-    cov += f.jitter_used * np.eye(g.n_nodes)
-    assert np.abs(f.covariance() - cov).max() <= 1e-10
+    assert f.jitter_used == 0.0
+    assert np.abs((cov - k)[off]).max() <= 1e-12
+    # and the diagonal holds the cell averages: no jitter was added
+    diag = fs._diag_cell_averages(g, kernels.KernelSpec())
+    assert np.abs(np.diag(cov) - diag).max() <= 1e-12
     lower = f.lower_factor
     assert lower.flags["C_CONTIGUOUS"] and not np.any(np.triu(lower, 1))
+
+
+def test_failed_cholesky_raises_not_positive_definite(monkeypatch):
+    """The covariance is factored once: a failed factorization raises at
+    once, with LAPACK's error as its cause, and no jittered retry follows."""
+    calls = []
+    cause = np.linalg.LinAlgError("leading minor not positive definite")
+
+    def fail(a, *args, **kwargs):
+        calls.append(a.shape)
+        raise cause
+
+    g = fs.build_grid(0.5, 6, 12)
+    monkeypatch.setattr(scipy.linalg, "cholesky", fail)
+    with pytest.raises(NotPositiveDefinite) as info:
+        fs.build_cov(g)
+    assert calls == [(g.n_nodes, g.n_nodes)]
+    assert info.value.__cause__ is cause
 
 
 def test_not_positive_definite_on_large_cube():
@@ -214,6 +212,24 @@ def test_dirichlet_factor_builds_without_warnings():
         fs.build_cov(g, spec)
     assert np.all(np.isposinf(np.diag(k)))
     assert not np.any(np.isnan(k))
+
+
+def test_dirichlet_factor_covers_bulk_nodes_only():
+    """K_D vanishes on the boundary, so only the bulk block is factored,
+    exactly, and the node-indexed mass and shift functions refuse it."""
+    g = fs.build_grid(0.5, 4, 8)
+    spec = kernels.KernelSpec(kind=kernels.DIRICHLET_PART)
+    f = fs.build_cov(g, spec)
+    assert f.dim == g.n_bulk_cells and f.jitter_used == 0.0
+    bulk = g.node_points()[:g.n_bulk_cells]
+    cov = kernels.pairwise(spec, bulk, bulk)
+    np.fill_diagonal(cov, fs._diag_cell_averages(g, spec))
+    assert np.abs(f.covariance() - cov).max() <= 1e-10
+    x = fs.sample_field_batch(f, 1, 4)
+    with pytest.raises(RegionMismatch):
+        fs.shift_vector(f, g, float(g.bdy_centers[2]), 0.5)
+    with pytest.raises(RegionMismatch):
+        gmc.bulk_mass(x, f, g, gmc.GmcParams(1.0, 0.5), gmc.region_all_bulk(g))
 
 
 def test_empirical_covariance_matches_factor():

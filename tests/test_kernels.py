@@ -186,19 +186,24 @@ def test_pairwise_blocks_match_one_block(monkeypatch):
         assert np.array_equal(kernels.pairwise(s, pts, pts[:20]), m), s.kind
 
 
-def test_scalar_only_perturbation_falls_back_with_log(caplog):
-    """A g that fails on broadcast points is evaluated pair by pair, and
-    the fallback is logged."""
+def test_unvectorized_perturbation_raises():
+    """g is called once on broadcast points: a result of the wrong shape
+    raises ValueError, and an error raised by g itself propagates."""
     pts = np.array([[0.0, 0.5], [0.3, 1.0], [-0.2, 0.0]])
-    spec = kernels.KernelSpec(kind=kernels.PERTURBED,
-                              g=lambda a, b: float(a[0] * b[0]))
-    with caplog.at_level("WARNING", logger="gmclab.kernels"):
-        mat = kernels.pairwise(spec, pts, pts)
-    assert "not vectorized" in caplog.text
-    base = kernels.pairwise(kernels.KernelSpec(), pts, pts)
-    off = ~np.eye(3, dtype=bool)
-    np.testing.assert_allclose(mat[off], (base + np.outer(pts[:, 0],
-                                                           pts[:, 0]))[off])
+    scalar = kernels.KernelSpec(kind=kernels.PERTURBED,
+                                g=lambda a, b: float(np.sum(a * b)))
+    with pytest.raises(ValueError, match="shape"):
+        kernels.pairwise(scalar, pts, pts)
+
+    class Refused(Exception):
+        pass
+
+    def refuse(a, b):
+        raise Refused("g refuses broadcast points")
+
+    with pytest.raises(Refused):
+        kernels.pairwise(kernels.KernelSpec(kind=kernels.PERTURBED, g=refuse),
+                         pts, pts)
 
 
 def test_kernelspec_validation():

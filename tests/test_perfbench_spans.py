@@ -76,6 +76,9 @@ def test_spans_install_wraps_and_restores(tmp_path):
                                                   + grid.n_bdy)
     assert tracer.counts["tailest.tilted_replicas"] == grid.n_bdy * 8
     assert tracer.counts["radial.path_steps"] > 0
+    # the names perfbench reads keep their meaning: exact factors only
+    assert tracer.maxima["fieldsim.jitter_used"] == 0.0
+    assert tracer.captured["min_eigenvalue"] > 0
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)

@@ -7,8 +7,8 @@ from scipy import stats
 from scipy.integrate import trapezoid
 
 from gmclab import radial
-from gmclab.errors import (IndexMismatch, InvalidRho, SupercriticalWeight,
-                           TruncationTooShort)
+from gmclab.errors import (IndexMismatch, InvalidRho, NotPositiveDefinite,
+                           SupercriticalWeight, TruncationTooShort)
 from gmclab.gmc import GmcParams, sin_power_integral
 from gmclab.kernels import lateral_cov
 from gmclab.radial import DriftSpec, LateralModel, RadialConfig, RadialSampler
@@ -194,6 +194,24 @@ def test_lateral_embedding_exact(small_lateral):
     lm = small_lateral
     assert lm.clip_report["min_eigenvalue"] > 0  # PSD without clipping
     assert lm.covariance_check() <= 1e-5  # float32 factor rounding
+
+
+def test_lateral_negative_mode_raises(monkeypatch):
+    """A mode eigenvalue just below zero raises: nothing is clipped."""
+    lm = LateralModel(gamma=1.0, T=2.0, ds=0.25, n_theta=4)
+    # lowering the lag-0 block by c I lowers every mode by c
+    shift = lm.clip_report["min_eigenvalue"] + 1e-9
+    real = LateralModel._lag_block
+
+    def lowered(self, tau):
+        block = real(self, tau)
+        if round(tau / self.ds) == 0:
+            block -= shift * np.eye(self.m)
+        return block
+
+    monkeypatch.setattr(LateralModel, "_lag_block", lowered)
+    with pytest.raises(NotPositiveDefinite, match="negative modes"):
+        LateralModel(gamma=1.0, T=2.0, ds=0.25, n_theta=4)
 
 
 def test_lateral_field_covariance(small_lateral):

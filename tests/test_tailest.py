@@ -162,6 +162,9 @@ def test_estimate_constant_radial_stability():
         params, 4000, 3, draws=sampler.sample_joint(3, 4000,
                                                     want_truncated=False))
     assert again.estimate == est.estimate
+    # N must equal the draw count
+    with pytest.raises(ValueError, match="N=3999"):
+        tailest.estimate_constant_radial(params, 3999, 3, draws=draws)
 
 
 @pytest.mark.parametrize("rows", [None, 7])
@@ -214,6 +217,8 @@ def test_quotient_moment_radial_modes():
                                            sampler=sampler, keep_running=True)
     assert est.finite_predicted and est.estimate > 0
     assert est.running_mean.size == 2000
+    with pytest.raises(ConfigInvalid):
+        tailest.estimate_quotient_moment(1.0, 1.0, 1.0, "radial", 10, 5)
 
 
 def test_quotient_moment_grid_mode(grid_setup):
