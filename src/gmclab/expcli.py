@@ -88,6 +88,10 @@ class ExperimentConfig:
             raise ConfigInvalid("r, N, n_bulk, n_bdy must be positive")
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigInvalid("seed must fit in a u64")
+        if not (self.radial_ds > 0 and self.radial_n_theta >= 2
+                and (self.radial_T is None or self.radial_T > 0)):
+            raise ConfigInvalid("need radial_ds > 0, radial_n_theta >= 2 "
+                                "and radial_T null or > 0")
 
     def radial_config(self) -> RadialConfig:
         return RadialConfig(T=self.radial_T, ds=self.radial_ds,

@@ -23,12 +23,11 @@ Samplers:
   norm of a 3-d Brownian motion with drift lambda / sqrt(2) (Rogers & Pitman
   1981): cumulative sums of Gaussian increments, started at the maximum
   itself (the Williams start) or at a given depth;
-- the lateral field by block-circulant embedding over the s-axis (the
-  covariance is stationary in s and decays exponentially), exact because
-  every mode of the embedding spectrum is checked to be nonnegative: a
-  negative mode raises, nothing is clipped;
-- cell-averaged diagonal variances so every renormalized exponential has
-  mean one by construction.
+- the lateral field as its first ``n_theta`` cosine modes, independent
+  Ornstein-Uhlenbeck processes in s, each sampled exactly on the slices by
+  an AR(1) recursion, so the covariance is PSD by construction; the
+  diagonal variances are the mode sums, so every renormalized exponential
+  has mean one exactly.
 
 ``RadialSampler.sample_joint`` returns the integral pairs I(M) and
 I(infinity) per draw; ``compute_I`` on ``williams_concatenate`` paths and
@@ -42,14 +41,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cellavg import _gauss_nodes, neg_log_avg_segment
-from .errors import (IndexMismatch, InvalidRho, NotPositiveDefinite,
-                     TruncationTooShort)
+from .cellavg import _gauss_nodes
+from .errors import IndexMismatch, InvalidRho, TruncationTooShort
 from .gmc import sin_power_integral
-from .kernels import lateral_cov
 from .rng import chunk_sizes, stream_generator
 
-LATERAL_CHUNK = 128  # samples per circulant-embedding FFT block
+LATERAL_CHUNK = 128  # lateral fields per Philox stream
 EZ_BDY = 2.0  # E[Z_bdy(s)]: two unit-mean boundary rays
 PATH_ROWS = 128  # conditioned paths per block of Gaussian increments
 
@@ -218,23 +215,23 @@ def williams_concatenate(M, descent, reversed_ascent) -> TwoSidedPath:
 # --- lateral field -----------------------------------------------------------
 
 class LateralModel:
-    """Circulant-embedded sampler of the lateral noise on the cylinder.
+    """Sampler of the lateral noise on the cylinder as independent OU modes.
 
     The grid covers s in [-T, T] with step ds (slices at -T + j ds) and theta
     in [0, pi] with two boundary rays plus ``n_theta`` interior cell midpoints.
-    Each node carries the s-cell average of the field at its theta point: the
-    s-averaging alone regularizes the log singularity (in Fourier modes the
-    covariance is sum_k (2/k) e^{-k|tau|} cos k theta cos k theta', and
-    averaging e^{-k|tau|} over a cell decays like 1/(k ds)), so every matrix
-    entry is the covariance of genuine cell-average variables and the block
-    Toeplitz matrix is positive semidefinite up to quadrature error.
+    The covariance is sum_{k>=1} (2/k) e^{-k|tau|} cos k theta cos k theta':
+    mode k is an Ornstein-Uhlenbeck process U_k in s with rate k and unit
+    variance, scaled by ``amp[:, k-1] = sqrt(2/k) cos k theta``, and the
+    modes are independent.  Keeping the K = ``n_theta`` modes the theta grid
+    resolves regularizes the log singularity; each mode is sampled exactly
+    on the slices by the AR(1) recursion
 
-    The field is stationary in s; embedding the Toeplitz blocks in a block
-    circulant of period 2 n_s and taking an FFT gives one small spectral
-    matrix per Fourier mode.  Every mode must be PSD, and the embedding is
-    then sampled exactly; any negative eigenvalue raises
-    ``NotPositiveDefinite``.  ``clip_report`` records the smallest and
-    largest mode eigenvalues; nothing is clipped.
+        U_k(s_{j+1}) = rho_k U_k(s_j) + sqrt(1 - rho_k^2) xi,
+        rho_k = e^{-k ds},
+
+    from a stationary N(0, 1) start, and Y = amp U.  Every mode variance 2/k
+    is positive, so the sampled covariance is PSD by construction;
+    ``clip_report`` records the smallest and largest, 2/K and 2.
     """
 
     def __init__(self, gamma: float, T: float, ds: float, n_theta: int):
@@ -250,19 +247,28 @@ class LateralModel:
         self.ds = float(ds)
         self.n_theta = int(n_theta)
         self.n_s = 2 * int(round(T / ds)) + 1
+        self.n_p = self.n_s  # normals per mode per sample: none discarded
         self.s_grid = -self.T + self.ds * np.arange(self.n_s)
         h = np.pi / n_theta
         self.theta = np.concatenate([[0.0], h * (np.arange(n_theta) + 0.5),
                                      [np.pi]])
         self.m = n_theta + 2
 
+        k = np.arange(1, self.n_theta + 1)
+        self.amp = np.sqrt(2.0 / k) * np.cos(np.outer(self.theta, k))
+        self.diag_var = (self.amp ** 2).sum(axis=1)
+        self.clip_report = {"min_eigenvalue": 2.0 / self.n_theta,
+                            "max_eigenvalue": 2.0}
+        # sampling runs in float32: per-entry rounding is ~1e-7 of the
+        # covariance scale, far below Monte Carlo resolution
+        self._amp32 = self.amp.astype(np.float32)
+        self._rho32 = np.exp(-k * self.ds).astype(np.float32)[:, None]
+        self._innov32 = np.sqrt(-np.expm1(-2.0 * k * self.ds)) \
+            .astype(np.float32)[:, None]
+
         p = gamma ** 2 / 2.0
         self.zh_weights = self._theta_cell_weights(p)  # interior cells only
-        self._build_spectrum()
-        self.diag_var = np.diag(self._lag_block(0.0)).copy()
         self.ez_h = float(self.zh_weights.sum())      # exact E[Z_H(s)]
-
-    # -- construction helpers
 
     def _theta_cell_weights(self, p: float) -> np.ndarray:
         """Integrals of (sin theta)^{-p} over each interior theta cell.
@@ -290,140 +296,42 @@ class LateralModel:
                 w[i] = 0.5 * (b - a) * (gw @ np.sin(th) ** (-p))
         return w
 
-    def _lag_nodes(self, d: int, n: int = 24):
-        """Gauss nodes/weights for E_delta[f(|d ds + delta|)], delta triangular
-        on [-ds, ds] (the covariance of two s-cell averages at lag d)."""
-        ds = self.ds
-        gx, gw = _gauss_nodes(n)
-        if d == 0:
-            u = 0.5 * ds * (gx + 1.0)  # |delta| on [0, ds], folded density
-            wts = 0.5 * ds * gw * 2.0 * (ds - u) / ds ** 2
-            return u, wts
-        lo = (d - 1) * ds
-        mid = d * ds
-        taus, wts = [], []
-        for a, b in ((lo, mid), (mid, mid + ds)):
-            t = 0.5 * (a + b) + 0.5 * (b - a) * gx
-            dens = (ds - np.abs(t - mid)) / ds ** 2
-            taus.append(t)
-            wts.append(0.5 * (b - a) * gw * dens)
-        return np.concatenate(taus), np.concatenate(wts)
+    def _field(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Y of shape (m, n_s, size) in float32 from one stream of (n_theta,
+        n_s, size) normals: block k - 1 drives mode k, its slice 0 the
+        stationary start and its slice j the innovation from s_{j-1} to s_j."""
+        u = rng.standard_normal((self.n_theta, self.n_s, size),
+                                dtype=np.float32)
+        for j in range(1, self.n_s):
+            u[:, j] *= self._innov32
+            u[:, j] += self._rho32 * u[:, j - 1]
+        return (self._amp32 @ u.reshape(self.n_theta, -1)) \
+            .reshape(self.m, self.n_s, size)
 
-    # adjacent s-cells: E[-ln d] for d triangular on [0, 2 ds] peaked at ds
-    _ADJ_LOG_CONST = 1.5 - 2.0 * np.log(2.0)
-
-    def _lag_block(self, tau_or_d: float) -> np.ndarray:
-        """Covariance block of s-cell-averaged nodes at lag d = tau/ds.
-
-        Off-diagonal entries average the kernel over the triangular lag
-        density directly; same-theta entries at lags 0 and 1 subtract the
-        -w ln|tau| model (w = 1 interior, 2 on the rays) and restore its
-        closed-form triangular average.
-        """
-        d = int(round(tau_or_d / self.ds))
-        u, wts = self._lag_nodes(d)
-        th_i = self.theta[:, None, None]
-        th_j = self.theta[None, :, None]
-        vals = lateral_cov(0.0, th_i, u[None, None, :], th_j)
-        block = vals @ wts
-
-        if d <= 1:
-            # same-theta entries: kernel ~ -w ln tau near tau = 0
-            w_sing = np.ones(self.m)
-            w_sing[0] = w_sing[-1] = 2.0
-            const = (neg_log_avg_segment(self.ds) if d == 0
-                     else -np.log(self.ds) + self._ADJ_LOG_CONST)
-            # Gauss nodes are interior, so u > 0 and both terms stay finite
-            diag_vals = lateral_cov(0.0, self.theta[:, None], u[None, :],
-                                    self.theta[:, None]) \
-                + w_sing[:, None] * np.log(u[None, :])
-            block[np.diag_indices(self.m)] = diag_vals @ wts + w_sing * const
-        return block
-
-    def _build_spectrum(self):
-        from scipy.fft import next_fast_len
-        n_p = next_fast_len(2 * self.n_s, real=True)
-        lags = np.minimum(np.arange(n_p), n_p - np.arange(n_p)) * self.ds
-        blocks = np.empty((n_p, self.m, self.m))
-        for d, tau in enumerate(lags):
-            blocks[d] = self._lag_block(float(tau))
-        spec = np.fft.fft(blocks, axis=0)
-        max_imag = np.abs(spec.imag).max()
-        scale = np.abs(spec.real).max()
-        if max_imag > 1e-8 * scale:
-            raise NotPositiveDefinite(
-                f"embedding spectrum not real (imag {max_imag:.2e})")
-        spec = spec.real
-        lam, vec = np.linalg.eigh(spec)
-        lo = lam.min()
-        if lo < 0.0:
-            raise NotPositiveDefinite(
-                f"circulant embedding has negative modes ({lo:.3e}); "
-                "increase T or lower ds")
-        self.clip_report = {"min_eigenvalue": float(lo),
-                            "max_eigenvalue": float(lam.max())}
-        # sampling runs in float32: per-entry rounding is ~1e-7 of the
-        # covariance scale, far below Monte Carlo resolution
-        self._factor = (vec * np.sqrt(lam)[:, None, :]).astype(np.float32)
-        self.n_p = n_p
-
-    # -- sampling
-
-    def sample(self, seed: int, n: int, stream_offset: int = 0,
-               return_field: bool = False):
+    def sample(self, seed: int, n: int, stream_offset: int = 0):
         """Draw n lateral fields; returns (Z_H, Z_bdy) of shape (n_s, n).
 
-        With ``return_field`` also returns Y of shape (n_s, m, n).  Chunked
-        over fixed-size blocks with one Philox stream per block.
+        Chunked over fixed-size blocks with one Philox stream per block.
         """
         g = self.gamma
-        n_half = self.n_p // 2
         zh = np.empty((self.n_s, n))
         zbdy = np.empty((self.n_s, n))
-        field = np.empty((self.n_s, self.m, n)) if return_field else None
         w32 = self.zh_weights.astype(np.float32)
         dv32 = self.diag_var.astype(np.float32)
         pos = 0
         for c, size in enumerate(chunk_sizes(n, LATERAL_CHUNK)):
-            rng = stream_generator(seed, stream_offset + c)
-            re = rng.standard_normal((n_half + 1, self.m, size),
-                                     dtype=np.float32)
-            im = rng.standard_normal((n_half + 1, self.m, size),
-                                     dtype=np.float32)
-            scale = np.float32(1.0 / np.sqrt(2.0))
-            re[0] /= scale  # k = 0 and k = n/2 carry real full-variance draws
-            im[0] = 0.0
-            re[n_half] /= scale
-            im[n_half] = 0.0
-            # the spectral factor is real: two real matmuls beat one complex
-            fac = self._factor[:n_half + 1]
-            f_half = (scale * np.matmul(fac, re)).astype(np.complex64)
-            f_half += 1j * (scale * np.matmul(fac, im))
-            y = np.fft.irfft(f_half, n=self.n_p, axis=0) * np.sqrt(self.n_p)
-            y = y[:self.n_s]
-            zh[:, pos:pos + size] = np.exp(
-                g * y[:, 1:-1] - 0.5 * g * g * dv32[None, 1:-1, None]) \
-                .transpose(0, 2, 1) @ w32
+            y = self._field(stream_generator(seed, stream_offset + c), size)
+            e = np.exp(g * y[1:-1] - 0.5 * g * g * dv32[1:-1, None, None])
+            # einsum, not a BLAS gemv, so the sums do not depend on the BLAS
+            # thread count
+            zh[:, pos:pos + size] = np.einsum(
+                "k,kj->j", w32, e.reshape(self.n_theta, -1)) \
+                .reshape(self.n_s, size)
             zbdy[:, pos:pos + size] = (
-                np.exp(0.5 * g * y[:, 0] - 0.125 * g * g * dv32[0])
-                + np.exp(0.5 * g * y[:, -1] - 0.125 * g * g * dv32[-1]))
-            if return_field:
-                field[:, :, pos:pos + size] = y
+                np.exp(0.5 * g * y[0] - 0.125 * g * g * dv32[0])
+                + np.exp(0.5 * g * y[-1] - 0.125 * g * g * dv32[-1]))
             pos += size
-        if return_field:
-            return zh, zbdy, field
         return zh, zbdy
-
-    def covariance_check(self) -> float:
-        """Max abs error of the embedded covariance against the target blocks
-        at all kept lags (float32 rounding of the factor only)."""
-        n_p = self.n_p
-        spec = np.matmul(self._factor, np.swapaxes(self._factor, 1, 2))
-        rec = np.fft.ifft(spec, axis=0).real
-        err = 0.0
-        for d in range(self.n_s):
-            err = max(err, float(np.abs(rec[d] - self._lag_block(d * self.ds)).max()))
-        return err
 
 
 # --- integrals ---------------------------------------------------------------
@@ -537,10 +445,14 @@ class RadialSampler:
     produces independent samples of the integral pairs I(M) and I(infinity).
     Streams: chunk c of a draw uses ``STREAMS_PER_CHUNK`` consecutive Philox
     streams from c * STREAMS_PER_CHUNK: ``LATERAL_STREAMS`` for the lateral
-    field, then one each for the descent, the ascent and M.  A path stream
-    holds, per block of ``PATH_ROWS`` paths, 2 uniforms per path for the
-    entrance direction (eps > 0 only), then (rows, T/ds) normals for each of
-    the three coordinates in turn; the M stream holds one uniform per sample.
+    field, then one each for the descent, the ascent and M.  Lateral stream
+    b holds the ``LATERAL_CHUNK`` samples of block b as one C-order
+    (n_theta, n_s, rows) array of float32 normals: mode by mode, each the
+    stationary start (slice 0) and then the innovation into each later
+    slice.  A path stream holds, per block of ``PATH_ROWS`` paths, 2 uniforms
+    per path for the entrance direction (eps > 0 only), then (rows, T/ds)
+    normals for each of the three coordinates in turn; the M stream holds one
+    uniform per sample.
     """
 
     PATH_CHUNK = 4096

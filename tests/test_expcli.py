@@ -30,6 +30,10 @@ def test_config_validation():
         expcli.ExperimentConfig.from_json('{"bad_key": 1}')
     with pytest.raises(ConfigInvalid):
         expcli.ExperimentConfig.from_json("not json")
+    for bad in ({"radial_ds": 0.0}, {"radial_n_theta": 1},
+                {"radial_T": -1.0}):
+        with pytest.raises(ConfigInvalid):
+            expcli.ExperimentConfig(**bad)
 
 
 def test_run_reproducible(tmp_path):
@@ -94,6 +98,11 @@ def test_cli_exit_codes(tmp_path):
     rc = expcli.main(["validate-kernels", "--config", str(cfg_path),
                       "--out", str(tmp_path)])
     assert rc == 0
+    # a bad radial setting is a config error, not a traceback
+    cfg_path.write_text('{"radial_n_theta": 1}')
+    rc = expcli.main(["quotient-moments", "--config", str(cfg_path),
+                      "--out", str(tmp_path)])
+    assert rc == 2
 
 
 def test_cli_threads_flag(tmp_path, monkeypatch):

@@ -79,6 +79,7 @@ def test_spans_install_wraps_and_restores(tmp_path):
     # the names perfbench reads keep their meaning: exact factors only
     assert tracer.maxima["fieldsim.jitter_used"] == 0.0
     assert tracer.captured["min_eigenvalue"] > 0
+    assert tracer.captured["useful_ratio"] == 1.0
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
