@@ -34,12 +34,8 @@ print(f"  fitted slope {slope:.3f} ± {se:.3f}   "
       f"zeta_tilde = {tailest.zeta_tilde(1.0, 1.0, gamma):.3f}")
 
 sampler = RadialSampler(gamma, RadialConfig(T=12.0, ds=0.1, n_theta=16))
-inside = tailest.estimate_quotient_moment(1.9, 1.0, gamma, "radial", 20_000,
-                                          5, sampler=sampler,
-                                          keep_running=True)
-outside = tailest.estimate_quotient_moment(3.0, 1.0, gamma, "radial", 20_000,
-                                           6, sampler=sampler,
-                                           keep_running=True)
+inside = tailest.radial_quotient_moment(1.9, 1.0, gamma, 20_000, 5, sampler)
+outside = tailest.radial_quotient_moment(3.0, 1.0, gamma, 20_000, 6, sampler)
 print("\nquotient-moment window diagnostic (running means at N/4, N/2, N):")
 for est, tag in ((inside, "p=1.9 (inside)"), (outside, "p=3.0 (outside)")):
     rm = est.running_mean

@@ -51,10 +51,6 @@ class IndexMismatch(GmclabError):
     """Two paths cannot be concatenated (incompatible time steps)."""
 
 
-class TruncationTooShort(GmclabError):
-    """Neglected-tail bound of a truncated integral exceeds the tolerance."""
-
-
 class InvalidRho(GmclabError):
     """Radial-route radius must satisfy 0 < rho < 1 (and rho <= r)."""
 

@@ -92,6 +92,15 @@ class ExperimentConfig:
                 and (self.radial_T is None or self.radial_T > 0)):
             raise ConfigInvalid("need radial_ds > 0, radial_n_theta >= 2 "
                                 "and radial_T null or > 0")
+        if not (self.p_moment >= 0 and self.q_moment >= 0):
+            raise ConfigInvalid("p_moment and q_moment must be >= 0")
+        rhos = self.rho_list
+        if rhos is not None and not (
+                isinstance(rhos, list)
+                and all(isinstance(r, (int, float)) and r > 0 for r in rhos)
+                and len(set(rhos)) >= 2):
+            raise ConfigInvalid("rho_list must be null or hold at least two "
+                                "distinct positive values")
 
     def radial_config(self) -> RadialConfig:
         return RadialConfig(T=self.radial_T, ds=self.radial_ds,
@@ -455,13 +464,12 @@ def _exp_quotient_moments(cfg: ExperimentConfig):
     rel = abs(mom_rad - mom_grid) / mom_grid
     # quotient-moment window diagnostics (running means)
     p_in, q_in = 2.0 / cfg.gamma ** 2, 1.0
-    est_in = tailest.estimate_quotient_moment(
-        p_in * 0.98, q_in, cfg.gamma, "radial", min(cfg.N, 30000),
-        cfg.seed + 11, sampler=sampler, keep_running=True)
+    est_in = tailest.radial_quotient_moment(
+        p_in * 0.98, q_in, cfg.gamma, min(cfg.N, 30000), cfg.seed + 11,
+        sampler)
     p_out = min(2.0 / cfg.gamma ** 2 + q_in / 2.0, 4.0 / cfg.gamma ** 2) * 1.2
-    est_out = tailest.estimate_quotient_moment(
-        p_out, q_in, cfg.gamma, "radial", min(cfg.N, 30000), cfg.seed + 12,
-        sampler=sampler, keep_running=True)
+    est_out = tailest.radial_quotient_moment(
+        p_out, q_in, cfg.gamma, min(cfg.N, 30000), cfg.seed + 12, sampler)
     step = max(1, est_in.running_mean.size // 200)
     curves["running_mean"] = (
         [("inside_window", float(i), float(v), 0.0)
@@ -492,7 +500,7 @@ def _exp_quotient_moments(cfg: ExperimentConfig):
 
 
 def _exp_zeta_scaling(cfg: ExperimentConfig):
-    rhos = cfg.rho_list or [0.05, 0.1, 0.2, 0.4]
+    rhos = [0.05, 0.1, 0.2, 0.4] if cfg.rho_list is None else cfg.rho_list
     slope, se, rows = tailest.quotient_rho_scan(
         cfg.gamma, cfg.p_moment, cfg.q_moment, rhos,
         min(cfg.N, 30000), cfg.seed)

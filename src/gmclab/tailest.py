@@ -30,7 +30,7 @@ feasibility systems for the proof-parameter windows round out the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -270,7 +270,10 @@ def tail_constant_prefactor(gamma: float, r: float) -> float:
 
 @dataclass(frozen=True)
 class ConstantEstimate:
-    """Radial-route tail constant with heavy-tail-aware uncertainty."""
+    """Radial-route tail constant with heavy-tail-aware uncertainty.
+
+    ``max_trunc_rel`` and ``mean_trunc_rel`` summarize, over the draws, the
+    larger of the relative truncation bounds of I_H(inf) and I_bdy(inf)."""
 
     estimate: float
     stderr: float
@@ -308,7 +311,10 @@ def estimate_constant_radial(params: GmcParams, N: int, seed: int,
     lo, hi = np.quantile(boot, [0.025, 0.975])
     cut = np.quantile(q, 1.0 - TRIM)
     trimmed = pref * float(q[q <= cut].mean())
-    rel = draws["bound_H"] / np.maximum(draws["IH_inf"], 1e-300)
+    # Q divides by I_bdy too, so a draw's truncation error is the larger of
+    # its two relative bounds
+    rel = np.maximum(draws["bound_H"] / np.maximum(draws["IH_inf"], 1e-300),
+                     draws["bound_bdy"] / np.maximum(draws["Ibdy_inf"], 1e-300))
     return ConstantEstimate(estimate=est, stderr=se, ci_low=float(lo),
                             ci_high=float(hi), trimmed_estimate=trimmed,
                             trim_fraction=TRIM, n=N,
@@ -368,93 +374,57 @@ class QuotientMomentEstimate:
     stderr: float
     n: int
     finite_predicted: bool
-    mode: str
-    running_mean: Optional[np.ndarray] = None
+    running_mean: np.ndarray
 
 
-def estimate_quotient_moment(p: float, q: float, gamma: float, mode: str,
-                             N: int, seed: int,
-                             sampler: Optional[RadialSampler] = None,
-                             grid: Optional[Grid] = None,
-                             factor: Optional[CovFactor] = None,
-                             params: Optional[GmcParams] = None,
-                             v: float = 0.0, rho: Optional[float] = None,
-                             region: str = "ball",
-                             keep_running: bool = False) -> QuotientMomentEstimate:
-    """MC estimate of a bulk/boundary quotient moment.
-
-    mode="radial": E[IH(inf)^p / Ibdy(inf)^q] from ``sampler``.
-    mode="grid":   E[mu^H_v(A)^p / mu^bdy_v(I)^q] with A, I the half-disk and
-    interval of radius ``rho`` at ``v`` (region="ball") or their complements
-    in Q_r (region="complement"), under the plain field law.
-    """
+def radial_quotient_moment(p: float, q: float, gamma: float, N: int,
+                           seed: int,
+                           sampler: RadialSampler) -> QuotientMomentEstimate:
+    """MC estimate of E[IH(inf)^p / Ibdy(inf)^q] from N ``sampler`` draws,
+    with the running mean over the draws as the divergence diagnostic."""
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
-    if mode == "radial":
-        if sampler is None:
-            raise ConfigInvalid("radial mode needs a sampler")
-        draws = sampler.sample_joint(seed, N, want_truncated=False)
-        vals = draws["IH_inf"] ** p / draws["Ibdy_inf"] ** q
-    elif mode == "grid":
-        if grid is None or factor is None or params is None or rho is None:
-            raise ConfigInvalid("grid mode needs grid, factor, params, rho")
-        vals = _grid_quotient_samples(params, grid, factor, v, rho, region,
-                                      N, seed, p, q)
-    else:
-        raise ConfigInvalid(f"unknown quotient mode {mode!r}")
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(vals.size))
-    running = np.cumsum(vals) / np.arange(1, vals.size + 1) \
-        if keep_running else None
-    return QuotientMomentEstimate(p=p, q=q, estimate=est, stderr=se,
-                                  n=int(vals.size),
-                                  finite_predicted=quotient_finite_predicted(
-                                      p, q, gamma),
-                                  mode=mode, running_mean=running)
-
-
-def _grid_quotient_samples(params, grid, factor, v, rho, region, N, seed, p, q):
-    if region == "ball":
-        cells = gmc.region_halfdisk_bulk(grid, v, rho)
-        segs = gmc.region_interval_bdy(grid, v - rho, v + rho)
-    elif region == "complement":
-        inside = gmc.region_halfdisk_bulk(grid, v, rho)
-        cells = np.setdiff1d(gmc.region_all_bulk(grid), inside)
-        iseg = gmc.region_interval_bdy(grid, v - rho, v + rho)
-        segs = np.setdiff1d(gmc.region_all_bdy(grid), iseg)
-    else:
-        raise ConfigInvalid(f"unknown grid region {region!r}")
-    if cells.size == 0 or segs.size == 0:
-        raise ConfigInvalid(f"region {region} at rho={rho} selects no nodes")
-
-    def quotient(x):
-        num = gmc.localized_bulk_mass(x, factor, grid, params, v, cells)
-        den = gmc.localized_bdy_mass(x, factor, grid, params, v, segs)
-        return num ** p / den ** q
-
-    return np.concatenate(map_field_chunks(factor, seed, N, quotient))
+    draws = sampler.sample_joint(seed, N, want_truncated=False)
+    vals = draws["IH_inf"] ** p / draws["Ibdy_inf"] ** q
+    return QuotientMomentEstimate(
+        p=p, q=q, estimate=float(vals.mean()),
+        stderr=float(vals.std(ddof=1) / np.sqrt(vals.size)),
+        n=int(vals.size),
+        finite_predicted=quotient_finite_predicted(p, q, gamma),
+        running_mean=np.cumsum(vals) / np.arange(1, vals.size + 1))
 
 
 def quotient_rho_scan(gamma: float, p: float, q: float, rhos: Sequence[float],
                       N: int, seed: int):
     """log-log slope of the localized ball quotient against rho.
 
-    Each rho runs on its own geometrically similar grid (r = R_OVER_RHO rho,
-    fixed node counts), so the exact scale invariance of the kernel makes
-    discretization bias a common factor and the fitted slope converges to
-    zeta_tilde(p; q).  The 1.25 ratio keeps the largest cube inside the
-    region where the log kernel stays positive definite.
+    At each rho the quotient is E[mu^H_0(A)^p / mu^bdy_0(I)^q] under the
+    plain field law, with A and I the half-disk and interval of radius rho
+    at v = 0.  Each rho runs on its own geometrically similar grid
+    (r = R_OVER_RHO rho, fixed node counts), so the exact scale invariance
+    of the kernel makes discretization bias a common factor and the fitted
+    slope converges to zeta_tilde(p; q).  The 1.25 ratio keeps the largest
+    cube inside the region where the log kernel stays positive definite.
     Returns (slope, slope_stderr, rows) with rows of (rho, estimate, stderr).
     """
+    if p < 0 or q < 0:
+        raise ValueError("p, q must be nonnegative")
     rows = []
     for i, rho in enumerate(rhos):
         grid = build_grid(R_OVER_RHO * rho, RHO_SCAN_N_BULK, RHO_SCAN_N_BDY)
         factor = build_cov(grid)
         params = GmcParams(gamma=gamma, r=R_OVER_RHO * rho)
-        est = estimate_quotient_moment(p, q, gamma, "grid", N, seed + i,
-                                       grid=grid, factor=factor, params=params,
-                                       rho=rho, region="ball")
-        rows.append((float(rho), est.estimate, est.stderr))
+        cells = gmc.region_halfdisk_bulk(grid, 0.0, rho)
+        segs = gmc.region_interval_bdy(grid, -rho, rho)
+
+        def quotient(x):
+            num = gmc.localized_bulk_mass(x, factor, grid, params, 0.0, cells)
+            den = gmc.localized_bdy_mass(x, factor, grid, params, 0.0, segs)
+            return num ** p / den ** q
+
+        vals = np.concatenate(map_field_chunks(factor, seed + i, N, quotient))
+        rows.append((float(rho), float(vals.mean()),
+                     float(vals.std(ddof=1) / np.sqrt(vals.size))))
     slope, _, se_slope, _ = _wls_loglog(*np.array(rows).T)
     return float(slope), float(se_slope), rows
 

@@ -31,7 +31,9 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         expcli.ExperimentConfig.from_json("not json")
     for bad in ({"radial_ds": 0.0}, {"radial_n_theta": 1},
-                {"radial_T": -1.0}):
+                {"radial_T": -1.0}, {"p_moment": -1.0}, {"q_moment": -0.5},
+                {"rho_list": []}, {"rho_list": [0.1]},
+                {"rho_list": [0.1, 0.1]}, {"rho_list": [0.1, -0.2]}):
         with pytest.raises(ConfigInvalid):
             expcli.ExperimentConfig(**bad)
 
@@ -98,11 +100,15 @@ def test_cli_exit_codes(tmp_path):
     rc = expcli.main(["validate-kernels", "--config", str(cfg_path),
                       "--out", str(tmp_path)])
     assert rc == 0
-    # a bad radial setting is a config error, not a traceback
-    cfg_path.write_text('{"radial_n_theta": 1}')
-    rc = expcli.main(["quotient-moments", "--config", str(cfg_path),
-                      "--out", str(tmp_path)])
-    assert rc == 2
+    # a bad radial or moment setting is a config error, not a traceback
+    for experiment, bad in (("quotient-moments", '{"radial_n_theta": 1}'),
+                            ("zeta-scaling", '{"p_moment": -1.0}'),
+                            ("zeta-scaling", '{"rho_list": []}'),
+                            ("zeta-scaling", '{"rho_list": [0.2]}')):
+        cfg_path.write_text(bad)
+        rc = expcli.main([experiment, "--config", str(cfg_path),
+                          "--out", str(tmp_path)])
+        assert rc == 2, bad
 
 
 def test_cli_threads_flag(tmp_path, monkeypatch):

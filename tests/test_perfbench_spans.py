@@ -76,6 +76,8 @@ def test_spans_install_wraps_and_restores(tmp_path):
                                                   + grid.n_bdy)
     assert tracer.counts["tailest.tilted_replicas"] == grid.n_bdy * 8
     assert tracer.counts["radial.path_steps"] > 0
+    # one integrand pass per chunk reads both cutoffs of the one-chunk draw
+    assert tracer.counts["radial.compute_I.calls"] == 1
     # the names perfbench reads keep their meaning: exact factors only
     assert tracer.maxima["fieldsim.jitter_used"] == 0.0
     assert tracer.captured["min_eigenvalue"] > 0

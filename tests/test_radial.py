@@ -11,8 +11,7 @@ from scipy import stats
 from scipy.integrate import trapezoid
 
 from gmclab import radial
-from gmclab.errors import (IndexMismatch, InvalidRho, SupercriticalWeight,
-                           TruncationTooShort)
+from gmclab.errors import IndexMismatch, InvalidRho, SupercriticalWeight
 from gmclab.gmc import GmcParams, sin_power_integral
 from gmclab.kernels import lateral_cov
 from gmclab.radial import DriftSpec, LateralModel, RadialConfig, RadialSampler
@@ -33,7 +32,8 @@ def test_max_law_exact():
     assert m.mean() == pytest.approx(np.sqrt(2.0), rel=5e-3)
     ks = stats.kstest(m, "expon", args=(0.0, 1.0 / spec.alpha)).statistic
     assert ks <= 0.002
-    assert radial.sample_max(spec, 3) == radial.sample_max(spec, 3)
+    assert np.array_equal(radial.sample_max(spec, 3, 1),
+                          radial.sample_max(spec, 3, 1))
 
 
 def test_max_law_standard_case():
@@ -133,15 +133,19 @@ def test_williams_concatenate_contract():
     spec = DriftSpec(1.0)
     t, d = radial.sample_conditioned_path(spec, 3.0, 0.1, 1e-3, 1, n_paths=4)
     _, a = radial.sample_conditioned_path(spec, 3.0, 0.1, 1e-3, 2, n_paths=4)
-    path = radial.williams_concatenate(1.3, (t, d), (t, a))
-    assert path.values.max() == pytest.approx(1.3 - 1e-3)
+    m = np.full(4, 1.3)
+    path = radial.williams_concatenate(m, (t, d), (t, a))
+    assert (path.M + path.b).max() == pytest.approx(1.3 - 1e-3)
     assert path.b.shape == (2 * len(t) - 1, 4)
+    # a one-path batch stays a batch
+    one = radial.williams_concatenate(m[:1], (t, d[:1]), (t, a[:1]))
+    assert one.b.shape == (2 * len(t) - 1, 1)
     # M = 0 degenerates to a conditioned-negative path through 0
-    path0 = radial.williams_concatenate(0.0, (t, d), (t, a))
-    assert np.all(path0.values <= 0.0)
+    path0 = radial.williams_concatenate(np.zeros(4), (t, d), (t, a))
+    assert np.all(path0.M + path0.b <= 0.0)
     t_bad = t * 2.0
     with pytest.raises(IndexMismatch):
-        radial.williams_concatenate(1.0, (t, d), (t_bad, a))
+        radial.williams_concatenate(m, (t, d), (t_bad, a))
 
 
 def test_williams_descent_law_brute_force():
@@ -267,14 +271,14 @@ def test_compute_I_synthetic():
     """Z == 1 and path == -s: integral of e^{-gamma s} over [0, inf) = 1/g."""
     ds = 0.01
     s = np.arange(-1000, 1001) * ds
-    b = -np.abs(s)
-    path = radial.TwoSidedPath(s=s, b=b, M=0.0)
-    ones = np.ones(s.size)
-    pair = radial.compute_I(path, ones, ones, 0.0, 1.0, ez_h=1.0)
+    b = -np.abs(s)[:, None]
+    path = radial.TwoSidedPath(s=s, b=b, M=np.zeros(1))
+    ones = np.ones_like(b)
+    pair, full = radial.compute_I(path, ones, ones, (0.0, np.inf), 1.0,
+                                  ez_h=1.0)
     # cutoff at x=0 leaves s >= 0 (L_0 = 0)
-    assert pair.IH == pytest.approx(1.0, rel=2e-2)
-    full = radial.compute_I(path, ones, ones, np.inf, 1.0, ez_h=1.0)
-    assert full.IH == pytest.approx(2.0, rel=2e-2)
+    assert pair.IH[0] == pytest.approx(1.0, rel=2e-2)
+    assert full.IH[0] == pytest.approx(2.0, rel=2e-2)
 
 
 def _two_sided_draws(seed, n, T=8.0, ds=0.1):
@@ -290,17 +294,27 @@ def _two_sided_draws(seed, n, T=8.0, ds=0.1):
     return path, zh, zbdy, lateral.ez_h
 
 
+X_GRID = (0.5, 1.0, 2.0, 4.0, np.inf)
+
+
 def test_compute_I_monotone_in_x():
     """On Williams paths (B <= 0, M > 0) with nonnegative lateral densities,
-    I_H(x) and I_bdy(x) are nondecreasing in the cutoff x."""
+    I_H(x) and I_bdy(x) are nondecreasing in the cutoff x.  One call with
+    several cutoffs, scalar and per-draw, returns exactly what one call per
+    cutoff returns."""
     path, zh, zbdy, ez_h = _two_sided_draws(3, 256)
-    prev = None
-    for x in (0.5, 1.0, 2.0, 4.0, np.inf):
-        pair = radial.compute_I(path, zh, zbdy, x, 1.0, ez_h=ez_h)
-        if prev is not None:
-            assert np.all(pair.IH >= prev.IH - 1e-12)
-            assert np.all(pair.Ibdy >= prev.Ibdy - 1e-12)
-        prev = pair
+    cutoffs = X_GRID + (path.M,)
+    pairs = radial.compute_I(path, zh, zbdy, cutoffs, 1.0, ez_h=ez_h)
+    assert len(pairs) == len(cutoffs)
+    for x, pair in zip(cutoffs, pairs):
+        (single,) = radial.compute_I(path, zh, zbdy, (x,), 1.0, ez_h=ez_h)
+        for field in ("IH", "Ibdy", "bound_H", "bound_bdy"):
+            assert np.array_equal(getattr(pair, field),
+                                  getattr(single, field)), (x, field)
+    grid_pairs = pairs[:len(X_GRID)]
+    for prev, pair in zip(grid_pairs, grid_pairs[1:]):
+        assert np.all(pair.IH >= prev.IH - 1e-12)
+        assert np.all(pair.Ibdy >= prev.Ibdy - 1e-12)
     sampler = RadialSampler(1.0, RadialConfig(T=8.0, ds=0.1, n_theta=8))
     d = sampler.sample_joint(3, 256, want_truncated=True)
     assert np.all(d["IH_inf"] >= d["IH_M"] - 1e-12)
@@ -309,14 +323,16 @@ def test_compute_I_monotone_in_x():
 
 def test_truncation_bound_and_error():
     path, zh, zbdy, ez_h = _two_sided_draws(5, 512)
-    pair = radial.compute_I(path, zh, zbdy, np.inf, 1.0, ez_h=ez_h)
+    pair, deep = radial.compute_I(path, zh, zbdy, (np.inf, 100.0), 1.0,
+                                  ez_h=ez_h)
     # typical paths end ~ lambda T deep, so the typical bound is negligible;
     # rare shallow-ended paths keep an O(1) bound, which is the point of
     # reporting it per sample
     assert np.median(pair.bound_H / pair.IH) < 1e-4
     assert np.all(np.isfinite(pair.bound_H))
-    with pytest.raises(TruncationTooShort):
-        radial.compute_I(path, zh, zbdy, 100.0, 1.0, ez_h=ez_h, tol=1e-6)
+    # a cutoff the left half never reaches within the horizon has an
+    # infinite bound
+    assert np.all(deep.bound_H == np.inf) and np.all(deep.bound_bdy == np.inf)
 
 
 def test_doubling_T_within_bound():
@@ -336,12 +352,12 @@ def test_radial_bulk_mass_contract():
     params = GmcParams(1.0, 0.5)
     sampler = RadialSampler(1.0, RadialConfig(T=8.0, ds=0.1, n_theta=8))
     with pytest.raises(InvalidRho):
-        radial.radial_bulk_mass(params, 1.5, 1, sampler)
+        radial.radial_bulk_mass(params, 1.5, 1, sampler, n=1)
     with pytest.raises(InvalidRho):
-        radial.radial_bulk_mass(params, 0.7, 1, sampler)  # above r
-    a = radial.radial_bulk_mass(params, 0.25, 4, sampler)
-    b = radial.radial_bulk_mass(params, 0.25, 4, sampler)
-    assert a == b and a > 0
+        radial.radial_bulk_mass(params, 0.7, 1, sampler, n=1)  # above r
+    a = radial.radial_bulk_mass(params, 0.25, 4, sampler, n=1)
+    b = radial.radial_bulk_mass(params, 0.25, 4, sampler, n=1)
+    assert a.shape == (1,) and a == b and a > 0
 
 
 def test_radial_gamma_to_zero_area():
@@ -372,10 +388,8 @@ def test_draw_radial_sample_tables():
     assert path.M[0] > 0
     assert np.all(path.b <= 0)
     assert np.all(zh >= 0) and np.all(zbdy >= 0)
-    ih, ib = [], []
-    for x in (0.5, 1.0, 2.0, 4.0, np.inf):
-        pair = radial.compute_I(path, zh, zbdy, x, 1.0, ez_h=ez_h)
-        ih.append(pair.IH[0])
-        ib.append(pair.Ibdy[0])
+    pairs = radial.compute_I(path, zh, zbdy, X_GRID, 1.0, ez_h=ez_h)
+    ih = [pair.IH[0] for pair in pairs]
+    ib = [pair.Ibdy[0] for pair in pairs]
     assert np.all(np.diff(ih) >= -1e-12)   # increasing in x
     assert np.all(np.diff(ib) >= -1e-12)

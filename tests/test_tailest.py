@@ -150,7 +150,7 @@ def test_constant_prefactor():
 
 def test_estimate_constant_radial_stability():
     params = GmcParams(1.0, 0.5)
-    cfg = RadialConfig(T=10.0, ds=0.1, n_theta=16)
+    cfg = RadialConfig(ds=0.1, n_theta=16)  # the default horizon
     sampler = RadialSampler(1.0, cfg)
     draws = sampler.sample_joint(3, 4000, want_truncated=False)
     est = tailest.estimate_constant_radial(params, 4000, 3, draws=draws)
@@ -178,7 +178,8 @@ def test_bootstrap_blocks_match_one_shot_draw(monkeypatch, rows):
     n, seed = 999, 8
     rng = np.random.default_rng(4)
     draws = {"IH_inf": rng.lognormal(size=n),
-             "Ibdy_inf": rng.lognormal(size=n), "bound_H": np.zeros(n)}
+             "Ibdy_inf": rng.lognormal(size=n), "bound_H": np.zeros(n),
+             "bound_bdy": np.zeros(n)}
     est = tailest.estimate_constant_radial(params, n, seed, draws=draws)
     q = draws["IH_inf"] ** 2.0 / draws["Ibdy_inf"]
     pref = tailest.tail_constant_prefactor(1.0, 0.5)
@@ -186,6 +187,19 @@ def test_bootstrap_blocks_match_one_shot_draw(monkeypatch, rows):
                                                   size=(tailest.N_BOOT, n))
     lo, hi = np.quantile(pref * q[idx].mean(axis=1), [0.025, 0.975])
     assert est.ci_low == lo and est.ci_high == hi
+
+
+def test_truncation_diagnostic_reads_both_integrals():
+    """The quotient divides by I_bdy, so a draw's truncation error is the
+    larger of its relative bounds on I_H and on I_bdy; here the boundary
+    side dominates on two of the four draws."""
+    draws = {"IH_inf": np.ones(4), "Ibdy_inf": np.full(4, 2.0),
+             "bound_H": np.array([1e-6, 1e-6, 4e-3, 1e-6]),
+             "bound_bdy": np.array([2e-3, 2e-5, 2e-5, 0.2])}
+    est = tailest.estimate_constant_radial(GmcParams(1.0, 0.5), 4, 1, draws)
+    rel = np.array([1e-3, 1e-5, 4e-3, 0.1])
+    assert est.max_trunc_rel == pytest.approx(0.1, rel=1e-12)
+    assert est.mean_trunc_rel == pytest.approx(rel.mean(), rel=1e-12)
 
 
 def test_zeta_tilde_identities():
@@ -211,30 +225,14 @@ def test_quotient_window_predictions():
     assert not tailest.quotient_finite_predicted(4.1, 10.0, 1.0)  # 4/g^2 cap
 
 
-def test_quotient_moment_radial_modes():
+def test_radial_quotient_moment():
     sampler = RadialSampler(1.0, RadialConfig(T=8.0, ds=0.1, n_theta=8))
-    est = tailest.estimate_quotient_moment(1.0, 1.0, 1.0, "radial", 2000, 5,
-                                           sampler=sampler, keep_running=True)
+    est = tailest.radial_quotient_moment(1.0, 1.0, 1.0, 2000, 5, sampler)
     assert est.finite_predicted and est.estimate > 0
     assert est.running_mean.size == 2000
-    with pytest.raises(ConfigInvalid):
-        tailest.estimate_quotient_moment(1.0, 1.0, 1.0, "radial", 10, 5)
-
-
-def test_quotient_moment_grid_mode(grid_setup):
-    grid, factor, params = grid_setup
-    est = tailest.estimate_quotient_moment(
-        1.0, 1.0, 1.0, "grid", 2000, 9, grid=grid, factor=factor,
-        params=params, rho=0.2, region="ball")
-    assert est.estimate > 0
-    comp = tailest.estimate_quotient_moment(
-        1.0, 1.0, 1.0, "grid", 2000, 9, grid=grid, factor=factor,
-        params=params, rho=0.2, region="complement")
-    assert comp.estimate > 0
-    with pytest.raises(ConfigInvalid):
-        tailest.estimate_quotient_moment(1.0, 1.0, 1.0, "grid", 100, 1,
-                                         grid=grid, factor=factor,
-                                         params=params, rho=0.001)
+    assert est.running_mean[-1] == pytest.approx(est.estimate, rel=1e-12)
+    with pytest.raises(ValueError):
+        tailest.radial_quotient_moment(-1.0, 1.0, 1.0, 10, 5, sampler)
 
 
 def test_locality_gap_contract(grid_setup):
@@ -278,3 +276,6 @@ def test_rho_scan_slope():
                                                 [0.1, 0.2, 0.4], 4000, 3)
     assert slope == pytest.approx(tailest.zeta_tilde(1.0, 1.0, 1.0), abs=0.1)
     assert len(rows) == 3
+    assert all(est > 0 and se > 0 for _, est, se in rows)
+    with pytest.raises(ValueError):
+        tailest.quotient_rho_scan(1.0, 1.0, -1.0, [0.1, 0.2], 10, 3)
