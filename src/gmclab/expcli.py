@@ -35,7 +35,7 @@ from . import __version__ as code_version
 from . import gmc, kernels, radial, tailest
 from .errors import ConfigInvalid, DegenerateWindow, GmclabError, IoFailure
 from .fieldsim import (MAX_DENSE_NODES, build_cov, build_grid,
-                       sample_field_batch, shift_vector)
+                       map_field_chunks, sample_field_batch, shift_vector)
 from .gmc import GmcParams
 from .radial import DriftSpec, RadialConfig, RadialSampler
 from .rng import stream_generator
@@ -214,14 +214,14 @@ def _exp_validate_girsanov(cfg: ExperimentConfig):
     factor = build_cov(grid)
     metrics, curves = {}, {}
     passed = True
+    j = grid.n_bdy // 2
+    v = float(grid.bdy_centers[j])
+    node = grid.n_bulk_cells + j
+    xa = sample_field_batch(factor, cfg.seed + 1, cfg.N)
+    xb = sample_field_batch(factor, cfg.seed + 2, cfg.N)
     for tag, g in (("a", cfg.gamma), ("b", 1.5)):
         charge = g / 2.0
-        j = grid.n_bdy // 2
-        v = float(grid.bdy_centers[j])
         delta = shift_vector(factor, grid, v, charge)
-        node = grid.n_bulk_cells + j
-        xa = sample_field_batch(factor, cfg.seed + 1, cfg.N)
-        xb = sample_field_batch(factor, cfg.seed + 2, cfg.N)
         w = np.exp(charge * xa[node] - 0.5 * charge ** 2
                    * factor.diag_var[node])
         # boundary-mass test functional: bounded, smooth, and defined for
@@ -455,10 +455,11 @@ def _exp_quotient_moments(cfg: ExperimentConfig):
     factor = build_cov(grid)
     pars2 = GmcParams(gamma=cfg.gamma, r=rho)
     n_grid = min(cfg.N, 30000)
-    x = sample_field_batch(factor, cfg.seed + 5, n_grid)
     cells, fracs = gmc.region_halfdisk_bulk(grid, 0.0, rho, fractions=True)
-    loc = gmc.localized_bulk_mass(x, factor, grid, pars2, 0.0, cells,
-                                  cell_fractions=fracs)
+    loc = np.concatenate(map_field_chunks(
+        factor, cfg.seed + 5, n_grid,
+        lambda x: gmc.localized_bulk_mass(x, factor, grid, pars2, 0.0, cells,
+                                          cell_fractions=fracs)))
     mom_grid = float((loc ** 0.3).mean())
     se_grid = float((loc ** 0.3).std(ddof=1) / np.sqrt(n_grid))
     rel = abs(mom_rad - mom_grid) / mom_grid

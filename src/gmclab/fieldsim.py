@@ -11,23 +11,26 @@ c Cov(X_i, X_j).
 One exact dense Cholesky factorization backs the sampler: LAPACK factors
 the assembled matrix in place, with no diagonal jitter, and a matrix that is
 not positive definite raises.  Resolutions beyond ~4e3 nodes are rejected
-rather than approximated.  Fields are x = L z with L lower triangular,
-multiplied in row blocks of ``TRI_BLOCK`` that each read only the columns up
-to their last row, so the zero upper triangle is skipped outside the diagonal
-blocks: n draws cost about dim^2 n flops, not the 2 dim^2 n of a full
-product.  Sampling is a pure function of (factor, seed) through
-counter-based streams, and replica batches are chunked so results do not
-depend on the worker count.
+rather than approximated.  Fields are x = L z with L lower triangular: one
+BLAS triangular multiply (dtrmm) per chunk overwrites the chunk's normals z
+with x, so n draws cost dim^2 n flops, not the 2 dim^2 n of a full product,
+and no second chunk-sized array is made.  The multiply is called through
+the C pointer of ``scipy.linalg.cython_blas`` and releases the interpreter
+lock, so chunks run in parallel on worker threads.  Sampling is a pure
+function of (factor, seed) through counter-based streams, and replica
+batches are chunked so results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_blas
 
 from . import kernels
 from .cellavg import neg_log_avg_segment, neg_log_avg_tri
@@ -37,7 +40,6 @@ from .rng import chunk_sizes, stream_generator, thread_count
 
 MAX_DENSE_NODES = 4096
 SAMPLE_CHUNK = 2048  # replicas per RNG stream; fixed so results ignore threading
-TRI_BLOCK = 512      # factor rows per block of the triangular multiply
 
 
 @dataclass(frozen=True)
@@ -209,6 +211,48 @@ def check_node_factor(factor: CovFactor, grid: Grid) -> None:
             f"nodes ({factor.kernel.kind} factor)")
 
 
+def _capsule_pointer(capsule) -> int:
+    """Address held by a Cython ``__pyx_capi__`` capsule."""
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    return ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                             ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+
+
+# dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb); a CFUNCTYPE
+# call releases the interpreter lock while BLAS runs
+_INT_P = ctypes.POINTER(ctypes.c_int)
+_DTRMM = ctypes.CFUNCTYPE(
+    None, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p,
+    _INT_P, _INT_P, ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, _INT_P,
+    ctypes.c_void_p, _INT_P)(
+        _capsule_pointer(cython_blas.__pyx_capi__["dtrmm"]))
+
+
+def _lower_times_inplace(lower: np.ndarray, z: np.ndarray) -> None:
+    """Overwrite z with ``lower @ z`` for a lower-triangular ``lower``.
+
+    BLAS reads the C-ordered (dim, dim) ``lower`` as U = L^T and the
+    C-ordered (dim, size) z as the (size, dim) Fortran matrix B = z^T, so
+    B <- B U is (L z)^T, written over z.  Both layouts are checked first:
+    any other would make BLAS read or write outside the arrays.
+    """
+    for name, arr in (("factor", lower), ("normals", z)):
+        if arr.dtype != np.float64 or arr.ndim != 2 \
+                or not arr.flags.c_contiguous:
+            raise ValueError(f"{name} must be a C-contiguous 2-D float64 "
+                             f"array, got {arr.dtype} {arr.shape}")
+    dim, size = z.shape
+    if lower.shape != (dim, dim) or not z.flags.writeable:
+        raise ValueError(f"factor {lower.shape} does not match writable "
+                         f"normals {z.shape}")
+    m, n = ctypes.c_int(size), ctypes.c_int(dim)
+    _DTRMM(b"R", b"U", b"N", b"N", ctypes.byref(m), ctypes.byref(n),
+           ctypes.byref(ctypes.c_double(1.0)), lower.ctypes.data,
+           ctypes.byref(n), z.ctypes.data, ctypes.byref(m))
+
+
 def map_field_chunks(factor: CovFactor, seed: int, n: int,
                      fn: Callable[[np.ndarray], Any], stream_offset: int = 0,
                      out: Optional[np.ndarray] = None) -> list:
@@ -216,27 +260,23 @@ def map_field_chunks(factor: CovFactor, seed: int, n: int,
 
     Replicas are cut into fixed chunks of ``SAMPLE_CHUNK``; chunk c draws its
     normals z from stream ``stream_offset + c`` and x = L z is its (dim,
-    size) block of fields.  L is lower triangular, so in row blocks i:j of
-    ``TRI_BLOCK`` rows x takes ``L[i:j, :j] @ z[:j]``, skipping the zero
-    upper triangle right of each block; a factor of at most ``TRI_BLOCK``
-    rows is one plain product.  With ``out`` the block is written into ``out[:, a:b]``;
-    otherwise it is a chunk temporary that ``fn`` may overwrite, so no (dim,
-    n) array is built.  Chunks run on a pool of ``thread_count()`` threads,
-    and results come back in chunk order, so any reduction over them is
-    identical for every worker count.
+    size) block of fields.  One in-place BLAS triangular multiply turns z
+    into x, reading only the lower triangle of L.  With ``out`` the block is
+    also copied into ``out[:, a:b]``.  ``fn`` gets the chunk's own array and
+    may overwrite it; without ``out`` no (dim, n) array is built.  Chunks run
+    on a pool of ``thread_count()`` threads, and results come back in chunk
+    order, so any reduction over them is identical for every worker count.
     """
     lower, dim = factor.lower_factor, factor.dim
     sizes = chunk_sizes(n, SAMPLE_CHUNK)
 
     def run(c):
         a, b = c * SAMPLE_CHUNK, c * SAMPLE_CHUNK + sizes[c]
-        z = stream_generator(seed, stream_offset + c).standard_normal(
+        x = stream_generator(seed, stream_offset + c).standard_normal(
             (dim, b - a))
-        x = np.empty_like(z) if out is None else out[:, a:b]
-        for i in range(0, dim, TRI_BLOCK):
-            j = min(i + TRI_BLOCK, dim)
-            np.matmul(lower[i:j, :j], z[:j], out=x[i:j])
-        del z  # one chunk-sized array fewer while fn runs
+        _lower_times_inplace(lower, x)
+        if out is not None:
+            out[:, a:b] = x
         return fn(x)
 
     workers = thread_count()

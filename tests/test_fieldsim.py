@@ -152,42 +152,54 @@ def test_batch_threads_invariance(monkeypatch):
 
 @pytest.fixture(scope="module")
 def multi_block():
-    """24x24+48 = 624 nodes: two row blocks of the triangular multiply."""
-    g = fs.build_grid(0.5, 24, 48)
-    f = fs.build_cov(g)
-    assert fs.TRI_BLOCK < f.dim <= 2 * fs.TRI_BLOCK
-    return f
+    """24x24+48 = 624 nodes."""
+    return fs.build_cov(fs.build_grid(0.5, 24, 48))
 
 
 def test_blocked_multiply_matches_full_product(multi_block):
-    f = multi_block
-    n = fs.SAMPLE_CHUNK + 300
-    x = fs.sample_field_batch(f, 17, n, stream_offset=5)
-    for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK), (fs.SAMPLE_CHUNK, n)]):
-        z = stream_generator(17, 5 + c).standard_normal((f.dim, b - a))
-        full = f.lower_factor @ z
-        assert np.abs(x[:, a:b] - full).max() <= 1e-12 * np.abs(full).max()
+    """The in-place triangular multiply agrees with the full product L z at
+    288 and 624 nodes, over a full and a short chunk, and leaves L as it
+    was."""
+    n = fs.SAMPLE_CHUNK + 952
+    for f in (fs.build_cov(fs.build_grid(0.5, 16, 32)), multi_block):
+        lower = f.lower_factor.copy()
+        x = fs.sample_field_batch(f, 17, n, stream_offset=5)
+        assert np.array_equal(f.lower_factor, lower)
+        for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK),
+                                    (fs.SAMPLE_CHUNK, n)]):
+            z = stream_generator(17, 5 + c).standard_normal((f.dim, b - a))
+            full = lower @ z
+            assert np.abs(x[:, a:b] - full).max() <= 1e-12 * np.abs(full).max()
 
 
 def test_blocked_multiply_threads_invariance(multi_block, monkeypatch):
     f = multi_block
     monkeypatch.setenv("GMCLAB_THREADS", "1")
     x1 = fs.sample_field_batch(f, 9, 5000)
-    monkeypatch.setenv("GMCLAB_THREADS", "4")
-    x2 = fs.sample_field_batch(f, 9, 5000)
-    assert np.array_equal(x1, x2)
+    for workers in ("2", "4"):
+        monkeypatch.setenv("GMCLAB_THREADS", workers)
+        assert np.array_equal(fs.sample_field_batch(f, 9, 5000), x1)
 
 
-def test_single_block_is_one_plain_product():
-    """At most TRI_BLOCK nodes (288 here) the multiply is one np.matmul of
-    the whole factor, bit for bit."""
-    g = fs.build_grid(0.5, 16, 32)
-    f = fs.build_cov(g)
-    assert f.dim <= fs.TRI_BLOCK
-    x = fs.sample_field_batch(f, 4, 3000, stream_offset=2)
-    for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK), (fs.SAMPLE_CHUNK, 3000)]):
-        z = stream_generator(4, 2 + c).standard_normal((f.dim, b - a))
-        assert np.array_equal(x[:, a:b], np.matmul(f.lower_factor, z))
+def test_multiply_rejects_bad_layouts():
+    """BLAS gets raw pointers, so any layout but C-contiguous float64 with
+    matching shapes must raise before the call, leaving both arrays as they
+    were."""
+    rng = np.random.default_rng(0)
+    lower = np.tril(rng.standard_normal((6, 6)))
+    z = rng.standard_normal((6, 8))
+    bad = [(lower, z[:, ::2]), (lower, np.asfortranarray(z)),
+           (lower.T, z), (lower, z.astype(np.float32)),
+           (lower.astype(np.float32), z), (lower[:5, :5], z),
+           (lower, z[:, :, None])]
+    for a, b in bad:
+        a0, b0 = a.copy(), b.copy()
+        with pytest.raises(ValueError):
+            fs._lower_times_inplace(a, b)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    x = z.copy()
+    fs._lower_times_inplace(lower, x)
+    assert np.allclose(x, lower @ z, rtol=1e-14, atol=1e-14)
 
 
 def test_thread_count_rejects_malformed_env(monkeypatch):
