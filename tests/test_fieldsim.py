@@ -181,6 +181,17 @@ def test_blocked_multiply_threads_invariance(multi_block, monkeypatch):
         assert np.array_equal(fs.sample_field_batch(f, 9, 5000), x1)
 
 
+def test_single_block_is_one_plain_product():
+    """At 288 nodes each chunk is one triangular multiply of the whole factor
+    by that chunk's normals, bit for bit, over a full and a short chunk."""
+    f = fs.build_cov(fs.build_grid(0.5, 16, 32))
+    x = fs.sample_field_batch(f, 4, 3000, stream_offset=2)
+    for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK), (fs.SAMPLE_CHUNK, 3000)]):
+        z = stream_generator(4, 2 + c).standard_normal((f.dim, b - a))
+        fs._lower_times_inplace(f.lower_factor, z)
+        assert np.array_equal(x[:, a:b], z)
+
+
 def test_multiply_rejects_bad_layouts():
     """BLAS gets raw pointers, so any layout but C-contiguous float64 with
     matching shapes must raise before the call, leaving both arrays as they
