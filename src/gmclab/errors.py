@@ -30,10 +30,6 @@ class NotPositiveDefinite(GmclabError):
     numerically singular); no jitter or clipping is applied to rescue it."""
 
 
-class SingularShift(GmclabError):
-    """Girsanov shift point sits exactly on a boundary segment endpoint."""
-
-
 # --- gmc -------------------------------------------------------------------
 
 class RegionMismatch(GmclabError):

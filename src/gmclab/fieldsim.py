@@ -34,8 +34,7 @@ from scipy.linalg import cython_blas
 
 from . import kernels
 from .cellavg import neg_log_avg_segment, neg_log_avg_tri
-from .errors import (InvalidResolution, NotPositiveDefinite, RegionMismatch,
-                     SingularShift)
+from .errors import InvalidResolution, NotPositiveDefinite, RegionMismatch
 from .rng import chunk_sizes, stream_generator, thread_count
 
 MAX_DENSE_NODES = 4096
@@ -68,17 +67,6 @@ class Grid:
         """All nodes as (n, 2) points, bulk first then boundary at y = 0."""
         bdy = np.column_stack([self.bdy_centers, np.zeros(self.n_bdy)])
         return np.vstack([self.bulk_centers, bdy])
-
-    def segment_of(self, v: float) -> int:
-        """Index of the boundary segment whose interior contains v."""
-        if not (-self.r < v < self.r):
-            raise ValueError(f"v={v} must lie strictly inside (-r, r)")
-        pos = (v + self.r) / self.seg_len
-        frac = pos - np.floor(pos)
-        if pos > 0.5 and min(frac, 1.0 - frac) < 1e-9:
-            raise SingularShift(
-                f"v={v} sits on a segment endpoint; move it off the lattice")
-        return min(int(pos), self.n_bdy - 1)
 
 
 def build_grid(r: float, n_bulk: int, n_bdy: int) -> Grid:
@@ -144,8 +132,6 @@ def _diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
     rows = np.arange(nb2) // grid.n_bulk
     if kernel.kind == kernels.DIRICHLET_PART:
         return direct - image_by_row[rows]
-    if kernel.kind not in (kernels.EXACT_SCALING_NEUMANN, kernels.PERTURBED):
-        raise ValueError(f"kernel kind {kernel.kind!r} is not a half-plane kernel")
     diag = np.empty(grid.n_nodes)
     diag[:nb2] = direct + image_by_row[rows]
     # on the boundary both kinds restrict to -2 ln|x - y|
@@ -299,31 +285,15 @@ def sample_field_batch(factor: CovFactor, seed: int, n: int,
 
 
 def shift_vector(factor: CovFactor, grid: Grid, v: float, charge: float) -> np.ndarray:
-    """Girsanov drift charge * Cov(., X at boundary point v).
+    """Girsanov drift charge * Cov(., X at boundary midpoint v).
 
-    When v is a segment midpoint this is exactly ``charge`` times the factored
-    covariance column of that node (discrete Cameron-Martin).
-    For generic v the kernel is evaluated at (v, 0) against node centers, with
-    the segment containing v taking the segment-averaged kernel value.
+    ``v`` must be a boundary segment midpoint; the drift is then exactly
+    ``charge`` times the factored covariance column of that node (discrete
+    Cameron-Martin).  Any other v raises ``ValueError``.
     """
     check_node_factor(factor, grid)
-    if not (-grid.r < v < grid.r):
-        raise ValueError(f"v={v} must lie strictly inside (-{grid.r}, {grid.r})")
-    j = grid.segment_of(v)
-    if np.isclose(v, grid.bdy_centers[j], rtol=0.0, atol=1e-12 * grid.seg_len):
-        return charge * factor.cov_column(grid.n_bulk_cells + j)
-
-    pts = grid.node_points()
-    col = kernels.pairwise(factor.kernel, pts, np.array([[v, 0.0]]))[:, 0]
-    # segment containing v: average of -2 ln|x - v| over the segment
-    a = -grid.r + j * grid.seg_len
-    b = a + grid.seg_len
-    left, right = v - a, b - v
-    avg = 2.0 * (left * (1.0 - np.log(left)) + right * (1.0 - np.log(right))) \
-        / grid.seg_len
-    if factor.kernel.kind == kernels.PERTURBED:
-        avg += float(factor.kernel.g(np.array([grid.bdy_centers[j], 0.0]),
-                                     np.array([v, 0.0])))
-    col[grid.n_bulk_cells + j] = avg
-    return charge * col
-
+    j = int(np.argmin(np.abs(grid.bdy_centers - v)))
+    if not np.isclose(v, grid.bdy_centers[j], rtol=0.0,
+                      atol=1e-12 * grid.seg_len):
+        raise ValueError(f"v={v} is not a boundary segment midpoint")
+    return charge * factor.cov_column(grid.n_bulk_cells + j)

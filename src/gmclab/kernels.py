@@ -33,14 +33,12 @@ from .errors import DiagonalSingularity, QuadratureUnstable
 EXACT_SCALING_NEUMANN = "exact_scaling_neumann"
 DIRICHLET_PART = "dirichlet_part"
 BOUNDARY_RESTRICTION = "boundary_restriction"
-LATERAL = "lateral"
 PERTURBED = "perturbed"
 
 KERNEL_KINDS = (
     EXACT_SCALING_NEUMANN,
     DIRICHLET_PART,
     BOUNDARY_RESTRICTION,
-    LATERAL,
     PERTURBED,
 )
 
@@ -177,9 +175,6 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
             np.any(pts_a[:, 1] != 0.0) or np.any(pts_b[:, 1] != 0.0)):
         raise ValueError("the boundary restriction is defined on the real "
                          "line only; got points with y != 0")
-    if spec.kind not in (EXACT_SCALING_NEUMANN, PERTURBED, DIRICHLET_PART,
-                         BOUNDARY_RESTRICTION):
-        raise ValueError(f"pairwise evaluation not defined for kind {spec.kind!r}")
     out = np.empty((len(pts_a), len(pts_b)))
     xb, yb = pts_b[:, 0], pts_b[:, 1]
     rows = max(1, PAIRWISE_BLOCK // max(1, len(pts_b)))

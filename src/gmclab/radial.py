@@ -35,6 +35,11 @@ Everything is batched: a batch of n draws holds paths and densities as
 once per side and reads the suffix sums at every requested cutoff, so I(x)
 at several cutoffs costs one integrand pass; ``RadialSampler.sample_joint``
 reads I(infinity) and, on request, I(M) per draw from that one pass.
+
+``sample_joint`` is the only place that cuts draws into chunks: each chunk
+of ``RADIAL_CHUNK`` draws reads four Philox streams of its own (see
+``RadialSampler``).  Below it, each sampler draws the whole batch it is asked
+for from the one stream it is given.
 """
 
 from __future__ import annotations
@@ -49,9 +54,11 @@ from .errors import IndexMismatch, InvalidRho
 from .gmc import sin_power_integral
 from .rng import chunk_sizes, stream_generator
 
-LATERAL_CHUNK = 128  # lateral fields per Philox stream
 EZ_BDY = 2.0  # E[Z_bdy(s)]: two unit-mean boundary rays
-PATH_ROWS = 128  # conditioned paths per block of Gaussian increments
+# draws per chunk of ``RadialSampler.sample_joint``; chunk c reads streams
+# 4c to 4c + 3.  A chunk's lateral normals, field and exponentials take over
+# 0.1 MB per draw at n_theta = 32 and 321 slices, so peak memory grows with it
+RADIAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,12 @@ def sample_conditioned_path(spec: DriftSpec, T: float, ds: float, eps: float,
     mu = lambda / sqrt(2), sqrt(2) B_s - lambda s conditioned to stay negative
     is -sqrt(2) |W_s + mu s e_1| for a 3-d Brownian motion W.  ``eps = 0`` is
     the Williams start at the maximum (W_0 = 0); for eps > 0, W_0 is drawn at
-    radius eps / sqrt(2) by ``_entrance_points``.  Stream use: see
-    ``RadialSampler``.
+    radius eps / sqrt(2) by ``_entrance_points``.
+
+    All paths come from Philox stream ``(seed, stream)``: for eps > 0 first
+    n_paths uniforms for the entrance cosine and n_paths for its azimuth,
+    then (n_paths, T/ds) normals for each of the three coordinates of W in
+    turn.
     """
     if eps < 0.0:
         raise ValueError(f"start depth eps must be >= 0, got {eps}")
@@ -139,26 +150,23 @@ def sample_conditioned_path(spec: DriftSpec, T: float, ds: float, eps: float,
     mu = spec.alpha / np.sqrt(2.0)
     n_steps = int(round(T / ds))
     rng = stream_generator(seed, stream)
+    start = _entrance_points(rng, mu, eps / np.sqrt(2.0), n_paths)
     paths = np.zeros((n_paths, n_steps + 1))
     paths[:, 0] -= eps
-    drift = (mu * ds, 0.0, 0.0)
+    sq = paths[:, 1:]
     # |W_s + mu s e_1|^2 accumulates one coordinate at a time into the path
-    # columns, so beyond the output only one block buffer is held
-    buf = np.empty((min(n_paths, PATH_ROWS), n_steps))
-    for a in range(0, n_paths, PATH_ROWS):
-        sq = paths[a:a + PATH_ROWS, 1:]
-        start = _entrance_points(rng, mu, eps / np.sqrt(2.0), len(sq))
-        coord = buf[:len(sq)]
-        for i in range(3):
-            rng.standard_normal(out=coord)
-            coord *= np.sqrt(ds)
-            coord += drift[i]
-            coord[:, 0] += start[i]
-            np.cumsum(coord, axis=1, out=coord)
-            coord *= coord
-            sq += coord
-        np.sqrt(sq, out=sq)
-        sq *= -np.sqrt(2.0)
+    # columns, so beyond the output only one scratch array is held
+    coord = np.empty((n_paths, n_steps))
+    for i, drift in enumerate((mu * ds, 0.0, 0.0)):
+        rng.standard_normal(out=coord)
+        coord *= np.sqrt(ds)
+        coord += drift
+        coord[:, 0] += start[i]
+        np.cumsum(coord, axis=1, out=coord)
+        coord *= coord
+        sq += coord
+    np.sqrt(sq, out=sq)
+    sq *= -np.sqrt(2.0)
     times = ds * np.arange(n_steps + 1)
     return times, paths
 
@@ -225,7 +233,8 @@ class LateralModel:
 
     from a stationary N(0, 1) start, and Y = amp U.  Every mode variance 2/k
     is positive, so the sampled covariance is PSD by construction;
-    ``clip_report`` records the smallest and largest, 2/K and 2.
+    ``clip_report`` records the smallest and largest, 2/K and 2.  A batch of
+    fields comes from one Philox stream, laid out as ``_field`` reads it.
     """
 
     def __init__(self, gamma: float, T: float, ds: float, n_theta: int):
@@ -302,29 +311,27 @@ class LateralModel:
         return (self._amp32 @ u.reshape(self.n_theta, -1)) \
             .reshape(self.m, self.n_s, size)
 
-    def sample(self, seed: int, n: int, stream_offset: int = 0):
+    def sample(self, seed: int, n: int, stream: int = 0):
         """Draw n lateral fields; returns (Z_H, Z_bdy) of shape (n_s, n).
 
-        Chunked over fixed-size blocks with one Philox stream per block.
+        All n fields come from Philox stream ``(seed, stream)`` as one C-order
+        (n_theta, n_s, n) array of float32 normals: mode by mode, the
+        stationary start (slice 0) and then the innovation into each later
+        slice, each slice holding one normal per draw.  So the first k of n
+        draws are not the draws of ``sample(seed, k)``.
         """
         g = self.gamma
-        zh = np.empty((self.n_s, n))
-        zbdy = np.empty((self.n_s, n))
         w32 = self.zh_weights.astype(np.float32)
         dv32 = self.diag_var.astype(np.float32)
-        pos = 0
-        for c, size in enumerate(chunk_sizes(n, LATERAL_CHUNK)):
-            y = self._field(stream_generator(seed, stream_offset + c), size)
-            e = np.exp(g * y[1:-1] - 0.5 * g * g * dv32[1:-1, None, None])
-            # einsum, not a BLAS gemv, so the sums do not depend on the BLAS
-            # thread count
-            zh[:, pos:pos + size] = np.einsum(
-                "k,kj->j", w32, e.reshape(self.n_theta, -1)) \
-                .reshape(self.n_s, size)
-            zbdy[:, pos:pos + size] = (
-                np.exp(0.5 * g * y[0] - 0.125 * g * g * dv32[0])
-                + np.exp(0.5 * g * y[-1] - 0.125 * g * g * dv32[-1]))
-            pos += size
+        y = self._field(stream_generator(seed, stream), n)
+        e = np.exp(g * y[1:-1] - 0.5 * g * g * dv32[1:-1, None, None])
+        # einsum, not a BLAS gemv, so the sums do not depend on the BLAS
+        # thread count
+        zh = np.einsum("k,kj->j", w32, e.reshape(self.n_theta, -1)) \
+            .reshape(self.n_s, n).astype(np.float64)
+        zbdy = (np.exp(0.5 * g * y[0] - 0.125 * g * g * dv32[0])
+                + np.exp(0.5 * g * y[-1] - 0.125 * g * g * dv32[-1])) \
+            .astype(np.float64)
         return zh, zbdy
 
 
@@ -405,8 +412,8 @@ def default_horizon(gamma: float) -> float:
     holds neither per draw nor for the boundary integral, which decays only
     like e^{-gamma lambda s / 2}: at gamma = 1 (T = 16, ds = 0.1,
     n_theta = 32), in each of three seeds of 16,384 draws the relative
-    boundary bound ``bound_bdy / I_bdy(inf)`` exceeds 1e-3 on 4.4-4.6% of
-    draws, up to 0.15, and the bulk bound on at most 0.11%, up to 0.05.  A
+    boundary bound ``bound_bdy / I_bdy(inf)`` exceeds 1e-3 on 4.2-4.5% of
+    draws, up to 0.15, and the bulk bound on at most 0.11%, up to 0.03.  A
     per-draw horizon that enforces a tolerance is ROADMAP item 3.
     """
     lam = 2.0 / gamma - gamma / 2.0
@@ -435,23 +442,13 @@ class RadialSampler:
 
     One instance owns an immutable LateralModel (shareable across threads) and
     produces independent samples of the integral pairs I(M) and I(infinity).
-    Streams: chunk c of a draw uses ``STREAMS_PER_CHUNK`` consecutive Philox
-    streams from c * STREAMS_PER_CHUNK: ``LATERAL_STREAMS`` for the lateral
-    field, then one each for the descent, the ascent and M.  Lateral stream
-    b holds the ``LATERAL_CHUNK`` samples of block b as one C-order
-    (n_theta, n_s, rows) array of float32 normals: mode by mode, each the
-    stationary start (slice 0) and then the innovation into each later
-    slice.  A path stream holds, per block of ``PATH_ROWS`` paths, 2 uniforms
-    per path for the entrance direction (eps > 0 only), then (rows, T/ds)
-    normals for each of the three coordinates in turn; the M stream holds one
-    uniform per sample.
+    Streams: ``sample_joint`` cuts n draws into chunks of ``RADIAL_CHUNK``,
+    and chunk c reads Philox stream 4c for its lateral fields, 4c + 1 for its
+    descents, 4c + 2 for its ascents and 4c + 3 for its maxima, one uniform
+    per draw.  ``LateralModel.sample`` and ``sample_conditioned_path`` give
+    each stream's layout.  Draws depend on n only through the last chunk: the
+    first k * RADIAL_CHUNK draws are the same for every n >= k * RADIAL_CHUNK.
     """
-
-    PATH_CHUNK = 4096
-    # disjoint Philox streams per chunk: the lateral sampler consumes one
-    # stream per LATERAL_CHUNK block, then descent, ascent, and (M,) draws
-    LATERAL_STREAMS = -(-PATH_CHUNK // LATERAL_CHUNK)
-    STREAMS_PER_CHUNK = LATERAL_STREAMS + 3
 
     def __init__(self, gamma: float, config: RadialConfig):
         self.gamma = float(gamma)
@@ -467,14 +464,12 @@ class RadialSampler:
         cfg = self.config
         out = {k: [] for k in ("M", "IH_inf", "Ibdy_inf", "IH_M", "Ibdy_M",
                                "bound_H", "bound_bdy")}
-        for c, size in enumerate(chunk_sizes(n, self.PATH_CHUNK)):
-            base = c * self.STREAMS_PER_CHUNK
-            zh, zbdy = self.lateral.sample(seed, size, stream_offset=base)
+        for c, size in enumerate(chunk_sizes(n, RADIAL_CHUNK)):
+            zh, zbdy = self.lateral.sample(seed, size, stream=4 * c)
             desc, asc = (sample_conditioned_path(
                 self.spec, self.T, cfg.ds, cfg.eps, seed, size,
-                stream=base + self.LATERAL_STREAMS + k) for k in (0, 1))
-            m = _exp_draw(self.spec.alpha, seed,
-                          base + self.LATERAL_STREAMS + 2, size)
+                stream=4 * c + k) for k in (1, 2))
+            m = _exp_draw(self.spec.alpha, seed, 4 * c + 3, size)
             path = williams_concatenate(m, desc, asc)
             cutoffs = (np.inf, m) if want_truncated else (np.inf,)
             pair_inf, *truncated = compute_I(path, zh, zbdy, cutoffs,

@@ -9,7 +9,7 @@ import scipy.linalg
 from gmclab import fieldsim as fs
 from gmclab import gmc, kernels
 from gmclab.errors import (ConfigInvalid, InvalidResolution,
-                           NotPositiveDefinite, RegionMismatch, SingularShift)
+                           NotPositiveDefinite, RegionMismatch)
 from gmclab.rng import stream_generator, thread_count
 
 
@@ -304,14 +304,13 @@ def test_girsanov_two_estimator():
 
 
 def test_shift_generic_v_and_endpoint():
+    """Shifts exist at boundary midpoints only: an off-centre point and a
+    segment endpoint both raise."""
     g = fs.build_grid(0.5, 6, 12)
     f = fs.build_cov(g)
-    v = float(g.bdy_centers[4]) + 0.3 * g.seg_len  # interior, off-center
-    delta = fs.shift_vector(f, g, v, 1.0)
-    assert np.all(np.isfinite(delta))
-    # segment endpoints are ambiguous
-    with pytest.raises(SingularShift):
-        fs.shift_vector(f, g, -0.5 + g.seg_len, 1.0)
+    for v in (float(g.bdy_centers[4]) + 0.3 * g.seg_len, -0.5 + g.seg_len):
+        with pytest.raises(ValueError):
+            fs.shift_vector(f, g, v, 1.0)
 
 
 def test_semicircle_average_variance():

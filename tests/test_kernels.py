@@ -207,8 +207,10 @@ def test_unvectorized_perturbation_raises():
 
 
 def test_kernelspec_validation():
-    with pytest.raises(ValueError):
-        kernels.KernelSpec(kind="nope")
+    # the lateral covariance lives on the cylinder, not on half-plane points
+    for kind in ("nope", "lateral"):
+        with pytest.raises(ValueError):
+            kernels.KernelSpec(kind=kind)
     with pytest.raises(ValueError):
         kernels.KernelSpec(kind=kernels.PERTURBED)  # missing g
     with pytest.raises(ValueError):

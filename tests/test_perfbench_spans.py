@@ -13,6 +13,8 @@ import importlib.util
 import os
 import sys
 
+import pytest
+
 import gmclab as gm
 
 PERFBENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -85,6 +87,20 @@ def test_spans_install_wraps_and_restores(tmp_path):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+WORKLOADS = _load_perfbench("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_warm_up_rep_passes_its_check(name, tmp_path):
+    """Each workload's repetition at its warm-up size, run as the worker's
+    warm-up runs it, passes the workload's own output check.  This drives
+    the benchmark's own calls into gmclab, so a broken entry point fails
+    here rather than as a failed benchmark run."""
+    wl = WORKLOADS[name]
+    out = wl.rep(gm, 12345, str(tmp_path), wl.warm_n)
+    assert wl.check_rep(out) == []
 
 
 def test_worker_clears_the_cell_average_cache(monkeypatch):

@@ -380,6 +380,19 @@ def test_sampler_determinism():
         assert np.array_equal(s1[k], s2[k])
 
 
+def test_sample_joint_chunks_do_not_depend_on_n():
+    """Chunk c of ``sample_joint`` reads its own streams, so the first chunk
+    of a three-chunk draw (the last one short) is a one-chunk draw."""
+    sampler = RadialSampler(1.0, RadialConfig(T=4.0, ds=0.25, n_theta=8))
+    chunk = radial.RADIAL_CHUNK
+    one = sampler.sample_joint(11, chunk)
+    three = sampler.sample_joint(11, 2 * chunk + 7)
+    assert one.keys() == three.keys()
+    for k in one:
+        assert three[k].shape == (2 * chunk + 7,)
+        assert np.array_equal(three[k][:chunk], one[k]), k
+
+
 def test_draw_radial_sample_tables():
     """One fully materialized radial sample: a Williams path (B <= 0, M > 0),
     nonnegative lateral densities, and I_H(x), I_bdy(x) tabulated on an
