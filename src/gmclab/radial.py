@@ -324,7 +324,11 @@ class LateralModel:
         w32 = self.zh_weights.astype(np.float32)
         dv32 = self.diag_var.astype(np.float32)
         y = self._field(stream_generator(seed, stream), n)
-        e = np.exp(g * y[1:-1] - 0.5 * g * g * dv32[1:-1, None, None])
+        # the interior rows become their exponentials in place
+        e = y[1:-1]
+        e *= g
+        e -= 0.5 * g * g * dv32[1:-1, None, None]
+        np.exp(e, out=e)
         # einsum, not a BLAS gemv, so the sums do not depend on the BLAS
         # thread count
         zh = np.einsum("k,kj->j", w32, e.reshape(self.n_theta, -1)) \
