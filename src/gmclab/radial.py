@@ -27,7 +27,9 @@ Samplers:
   Ornstein-Uhlenbeck processes in s, each sampled exactly on the slices by
   an AR(1) recursion, so the covariance is PSD by construction; the
   diagonal variances are the mode sums, so every renormalized exponential
-  has mean one exactly.
+  has mean one exactly.  Its float32 normals come from
+  ``rng.fill_normal32`` (Box-Muller on raw Philox words), one mode's
+  (n_s, n) block per call; the path normals stay numpy's float64 ziggurat.
 
 Everything is batched: a batch of n draws holds paths and densities as
 (n_s, n) arrays, one column per draw.  ``compute_I`` integrates a batch of
@@ -39,7 +41,8 @@ reads I(infinity) and, on request, I(M) per draw from that one pass.
 ``sample_joint`` is the only place that cuts draws into chunks: each chunk
 of ``RADIAL_CHUNK`` draws reads four Philox streams of its own (see
 ``RadialSampler``).  Below it, each sampler draws the whole batch it is asked
-for from the one stream it is given.
+for from the one stream it is given: a lateral batch of n draws reads
+n_theta blocks of ceil(n_s n / 2) words, one block per mode.
 """
 
 from __future__ import annotations
@@ -52,12 +55,13 @@ import numpy as np
 from .cellavg import _gauss_nodes
 from .errors import IndexMismatch, InvalidRho
 from .gmc import sin_power_integral
-from .rng import chunk_sizes, stream_generator
+from .rng import chunk_sizes, fill_normal32, stream_generator
 
 EZ_BDY = 2.0  # E[Z_bdy(s)]: two unit-mean boundary rays
 # draws per chunk of ``RadialSampler.sample_joint``; chunk c reads streams
-# 4c to 4c + 3.  A chunk's lateral normals, field and exponentials take over
-# 0.1 MB per draw at n_theta = 32 and 321 slices, so peak memory grows with it
+# 4c to 4c + 3.  A chunk's lateral normals and field, which becomes its own
+# exponentials, peak at 85 kB per draw at n_theta = 32 and 321 slices
+# (tracemalloc over one chunk), so peak memory grows with it
 RADIAL_CHUNK = 256
 
 
@@ -234,7 +238,8 @@ class LateralModel:
     from a stationary N(0, 1) start, and Y = amp U.  Every mode variance 2/k
     is positive, so the sampled covariance is PSD by construction;
     ``clip_report`` records the smallest and largest, 2/K and 2.  A batch of
-    fields comes from one Philox stream, laid out as ``_field`` reads it.
+    fields comes from one Philox stream, mode by mode: ``_field`` gives the
+    layout.
     """
 
     def __init__(self, gamma: float, T: float, ds: float, n_theta: int):
@@ -250,7 +255,7 @@ class LateralModel:
         self.ds = float(ds)
         self.n_theta = int(n_theta)
         self.n_s = 2 * int(round(T / ds)) + 1
-        self.n_p = self.n_s  # normals per mode per sample: none discarded
+        self.n_p = self.n_s  # normals per mode per sample
         self.s_grid = -self.T + self.ds * np.arange(self.n_s)
         h = np.pi / n_theta
         self.theta = np.concatenate([[0.0], h * (np.arange(n_theta) + 0.5),
@@ -300,11 +305,16 @@ class LateralModel:
         return w
 
     def _field(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Y of shape (m, n_s, size) in float32 from one stream of (n_theta,
-        n_s, size) normals: block k - 1 drives mode k, its slice 0 the
-        stationary start and its slice j the innovation from s_{j-1} to s_j."""
-        u = rng.standard_normal((self.n_theta, self.n_s, size),
-                                dtype=np.float32)
+        """Y of shape (m, n_s, size) in float32 from (n_theta, n_s, size)
+        normals: block k - 1 drives mode k, its slice 0 the stationary start
+        and its slice j the innovation from s_{j-1} to s_j.  Each block is
+        one ``fill_normal32`` call on ``rng``: ceil(n_s size / 2) words whose
+        cosines fill the block's first half in C order and whose sines fill
+        the rest."""
+        u = np.empty((self.n_theta, self.n_s, size), dtype=np.float32)
+        # one mode per call keeps the kernel's temporaries in cache
+        for block in u:
+            fill_normal32(rng, block)
         for j in range(1, self.n_s):
             u[:, j] *= self._innov32
             u[:, j] += self._rho32 * u[:, j - 1]
@@ -314,11 +324,12 @@ class LateralModel:
     def sample(self, seed: int, n: int, stream: int = 0):
         """Draw n lateral fields; returns (Z_H, Z_bdy) of shape (n_s, n).
 
-        All n fields come from Philox stream ``(seed, stream)`` as one C-order
-        (n_theta, n_s, n) array of float32 normals: mode by mode, the
-        stationary start (slice 0) and then the innovation into each later
-        slice, each slice holding one normal per draw.  So the first k of n
-        draws are not the draws of ``sample(seed, k)``.
+        All n fields come from Philox stream ``(seed, stream)``: for each
+        mode in turn, ceil(n_s n / 2) words give the (n_s, n) block of float32
+        normals, the stationary start (slice 0) and then the innovation into
+        each later slice, one normal per draw; the words' cosines fill the
+        block's first half in C order and their sines the rest.  So the first
+        k of n draws are not the draws of ``sample(seed, k)``.
         """
         g = self.gamma
         w32 = self.zh_weights.astype(np.float32)

@@ -103,6 +103,38 @@ def test_workload_warm_up_rep_passes_its_check(name, tmp_path):
     assert wl.check_rep(out) == []
 
 
+def test_traced_radial_warm_up_rep(tmp_path):
+    """The radial-constant warm-up repetition under the span tracer, as a
+    ``--trace 1`` run makes it: its output check passes, no span name has
+    negative self time (the worker refuses one beyond -1e-6 s), and the
+    lateral field's Philox words are drawn through the traced Generator, one
+    timed ``rng.draw`` per mode block."""
+    spans = _load_perfbench("spans")
+    wl = WORKLOADS["radial-constant"]
+    tracer = spans.Tracer()
+    spans.install(tracer, gm)
+    try:
+        out = wl.rep(gm, 12345, str(tmp_path), wl.warm_n)
+    finally:
+        tracer.remove()
+    assert wl.check_rep(out) == []
+    for name, a in tracer.aggregate().items():
+        assert a["self_s"] >= -1e-6, name
+    lat = gm.radial.RadialSampler(
+        1.0, _load_perfbench("workloads")._radial_config(gm)).lateral
+    sizes = gm.rng.chunk_sizes(wl.warm_n, gm.radial.RADIAL_CHUNK)
+    # ceil(n_s size / 2) words per mode block
+    lateral_words = lat.n_theta * sum((lat.n_s * size + 1) // 2
+                                      for size in sizes)
+    assert tracer.counts["rng.values_drawn"] >= lateral_words
+    lateral = {i for i, (name, *_) in enumerate(tracer.spans)
+               if name == "radial.lateral.sample"}
+    assert len(lateral) == len(sizes)
+    lateral_draws = sum(name == "rng.draw" and parent in lateral
+                        for name, _, _, parent in tracer.spans)
+    assert lateral_draws == lat.n_theta * len(sizes)
+
+
 def test_worker_clears_the_cell_average_cache(monkeypatch):
     """``perfbench/worker.py`` drops the memoized cell averages before each
     repetition; losing the cache or renaming the function would crash every
