@@ -22,8 +22,8 @@ print("  K((0,1),(0,2))          =", kernels.eval_neumann((0, 1), (0, 2)),
       " (expect -ln 3 =", -np.log(3.0), ")")
 print("  K((1,0),(-1,0))         =", kernels.eval_neumann((1, 0), (-1, 0)),
       " (expect -2 ln 2)")
-print("  boundary K_R(0, e)      =", kernels.eval_boundary(0.0, np.e),
-      " (expect -2)")
+print("  K((0,0),(e,0))          =", kernels.eval_neumann((0, 0), (np.e, 0)),
+      " (expect -2 ln e = -2)")
 print("  lateral cov(i vs 1)     =",
       kernels.eval_lateral(0.0, np.pi / 2, 0.0, 0.0), " (expect -ln 2)")
 

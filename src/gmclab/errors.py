@@ -33,8 +33,8 @@ class NotPositiveDefinite(GmclabError):
 # --- gmc -------------------------------------------------------------------
 
 class RegionMismatch(GmclabError):
-    """A region refers to node indices outside the expected bulk/boundary set,
-    or a covariance factor does not cover the grid's nodes."""
+    """A region refers to node indices outside the expected bulk/boundary
+    set."""
 
 
 class SupercriticalWeight(GmclabError):

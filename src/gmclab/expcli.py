@@ -520,7 +520,7 @@ def _exp_perturbed_g(cfg: ExperimentConfig):
         shape = np.broadcast(np.asarray(z)[..., 0], np.asarray(w)[..., 0]).shape
         return np.full(shape, c)
 
-    pert = kernels.KernelSpec(kind=kernels.PERTURBED, g=g_const)
+    pert = kernels.KernelSpec(g=g_const)
     perturbed = _tail_fit_run(cfg, kernel=pert)
     c0, c1 = exact.c_anchor, perturbed.c_anchor
     ratio = c1 / c0

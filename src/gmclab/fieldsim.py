@@ -34,7 +34,7 @@ from scipy.linalg import cython_blas
 
 from . import kernels
 from .cellavg import neg_log_avg_segment, neg_log_avg_tri
-from .errors import InvalidResolution, NotPositiveDefinite, RegionMismatch
+from .errors import InvalidResolution, NotPositiveDefinite
 from .rng import chunk_sizes, stream_generator, thread_count
 
 MAX_DENSE_NODES = 4096
@@ -115,13 +115,7 @@ class CovFactor:
 
 
 def _diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
-    """Exact cell-averaged self-covariances E[X_cell^2] per factored node.
-
-    Bulk then boundary nodes; the boundary restriction covers the boundary
-    nodes only and the Dirichlet part the bulk nodes only.
-    """
-    if kernel.kind == kernels.BOUNDARY_RESTRICTION:
-        return np.full(grid.n_bdy, 2.0 * neg_log_avg_segment(grid.seg_len))
+    """Exact cell-averaged self-covariances E[X_cell^2], bulk then boundary."""
     nb2 = grid.n_bulk_cells
     # all bulk cells share the direct term; the image term depends on the row
     direct = neg_log_avg_tri(grid.dx, -grid.dy, grid.dy)
@@ -130,13 +124,11 @@ def _diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
         neg_log_avg_tri(grid.dx, 2.0 * yo, 2.0 * yo + 2.0 * grid.dy)
         for yo in yo_levels])
     rows = np.arange(nb2) // grid.n_bulk
-    if kernel.kind == kernels.DIRICHLET_PART:
-        return direct - image_by_row[rows]
     diag = np.empty(grid.n_nodes)
     diag[:nb2] = direct + image_by_row[rows]
-    # on the boundary both kinds restrict to -2 ln|x - y|
+    # on the boundary K_C restricts to -2 ln|x - y|
     diag[nb2:] = 2.0 * neg_log_avg_segment(grid.seg_len)
-    if kernel.kind == kernels.PERTURBED:
+    if kernel.g is not None:
         pts = grid.node_points()
         diag += kernel.g(pts, pts)
     return diag
@@ -144,29 +136,20 @@ def _diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
 
 def build_cov(grid: Grid,
               kernel: Optional[kernels.KernelSpec] = None) -> CovFactor:
-    """Assemble and factor the node covariance for the given kernel.
+    """Assemble and factor the covariance of all grid nodes, in grid order.
 
-    Off-diagonal entries are kernel values at node centers, bulk/boundary
-    cross blocks included; diagonal entries are exact cell averages.
-    ``kernels.pairwise`` is exactly symmetric, so the matrix needs no
-    symmetrization.  LAPACK factors the assembled matrix once, in place, so
-    the factor takes its memory; no jitter is added, and a matrix that is
-    not positive definite raises ``NotPositiveDefinite``.
-
-    Two kinds live on part of the nodes only.  The boundary restriction
-    -2 ln|x - y| is defined on the real line, so its factor covers the
-    boundary nodes (``dim == grid.n_bdy``).  The Dirichlet part vanishes
-    identically on the boundary, where its rows and columns would be exact
-    zeros, so its factor covers the bulk nodes (``dim ==
-    grid.n_bulk_cells``).  Nodes stay in grid order.
+    ``kernel`` defaults to the Neumann kernel K_C.  Off-diagonal entries are
+    kernel values at node centers, bulk/boundary cross blocks included;
+    diagonal entries are exact cell averages.  The boundary block is the
+    -2 ln|x - y| covariance of the boundary field, so boundary masses read
+    it directly.  ``kernels.pairwise`` is exactly symmetric, so the matrix
+    needs no symmetrization.  LAPACK factors the assembled matrix once, in
+    place, so the factor takes its memory; no jitter is added, and a matrix
+    that is not positive definite raises ``NotPositiveDefinite``.
     """
     if kernel is None:
         kernel = kernels.KernelSpec()
     pts = grid.node_points()
-    if kernel.kind == kernels.BOUNDARY_RESTRICTION:
-        pts = pts[grid.n_bulk_cells:]
-    elif kernel.kind == kernels.DIRICHLET_PART:
-        pts = pts[:grid.n_bulk_cells]
     cov = kernels.pairwise(kernel, pts, pts)
     np.fill_diagonal(cov, _diag_cell_averages(grid, kernel))
     try:
@@ -178,23 +161,12 @@ def build_cov(grid: Grid,
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"covariance is not positive definite (grid r={grid.r}, "
-            f"{grid.n_bulk}x{grid.n_bulk}+{grid.n_bdy}, {kernel.kind}); "
+            f"{grid.n_bulk}x{grid.n_bulk}+{grid.n_bdy}, "
+            f"{'Neumann' if kernel.g is None else 'perturbed'} kernel); "
             "log kernels are positive definite only on small cubes") from exc
     diag_var = np.einsum("ij,ij->i", lower, lower)
     return CovFactor(dim=len(pts), lower_factor=lower, diag_var=diag_var,
                      jitter_used=0.0, kernel=kernel)
-
-
-def check_node_factor(factor: CovFactor, grid: Grid) -> None:
-    """Raise ``RegionMismatch`` unless ``factor`` covers every grid node.
-
-    Node indexing (bulk first, then boundary) assumes a full-grid factor; a
-    boundary-only or bulk-only factor would otherwise be misread.
-    """
-    if factor.dim != grid.n_nodes:
-        raise RegionMismatch(
-            f"factor has dim {factor.dim} but the grid has {grid.n_nodes} "
-            f"nodes ({factor.kernel.kind} factor)")
 
 
 def _capsule_pointer(capsule) -> int:
@@ -291,7 +263,6 @@ def shift_vector(factor: CovFactor, grid: Grid, v: float, charge: float) -> np.n
     ``charge`` times the factored covariance column of that node (discrete
     Cameron-Martin).  Any other v raises ``ValueError``.
     """
-    check_node_factor(factor, grid)
     j = int(np.argmin(np.abs(grid.bdy_centers - v)))
     if not np.isclose(v, grid.bdy_centers[j], rtol=0.0,
                       atol=1e-12 * grid.seg_len):

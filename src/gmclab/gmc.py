@@ -34,7 +34,7 @@ from scipy.special import gamma as gamma_fn
 
 from .cellavg import _gauss_nodes
 from .errors import RegionMismatch, SupercriticalWeight
-from .fieldsim import CovFactor, Grid, check_node_factor
+from .fieldsim import CovFactor, Grid
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,6 @@ def _mass(field, factor: CovFactor, grid: Grid, params: GmcParams, region,
     one realization (dim,), giving a float, or a (dim, n) batch, giving n
     masses.
     """
-    check_node_factor(factor, grid)
     if bdy:
         region = _check_region(region, grid.n_bdy, "boundary")
         idx, coupling = grid.n_bulk_cells + region, params.gamma / 2.0
@@ -208,7 +207,6 @@ class TiltedMasses:
 
     def __init__(self, factor: CovFactor, grid: Grid, params: GmcParams,
                  shifts: np.ndarray):
-        check_node_factor(factor, grid)
         nb = grid.n_bulk_cells
         g = params.gamma
         w = bulk_weights(grid, params)

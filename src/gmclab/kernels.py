@@ -2,13 +2,12 @@
 
 The exact-scaling Neumann kernel
 
-    K_C(z, w) = -ln |z - w||z - conj(w)|
+    K_C(z, w) = -ln |z - w||z - conj(w)|,
 
-and its relatives: the Dirichlet part K_D = -ln(|z - w|/|z - conj(w)|), the
-boundary restriction K_R(x, y) = -2 ln|x - y| on the real line, the lateral
-(cylinder) covariance left after removing the semicircle-average Brownian
-motion, and Neumann-type perturbations K_C + g.  Points are (x, y) pairs with
-y >= 0; boundary points have y = 0 exactly.
+its Neumann-type perturbations K_C + g, and the lateral (cylinder)
+covariance left after removing the semicircle-average Brownian motion.
+Points are (x, y) pairs with y >= 0; boundary points have y = 0 exactly, and
+on the boundary K_C restricts to -2 ln|x - y|.
 
 Kernels carry no GMC coupling parameter; they are pure covariances.  All
 functions are pure and thread-safe.
@@ -30,41 +29,19 @@ from numpy.polynomial.legendre import leggauss
 from .cellavg import SEGMENT_LOG_CONST
 from .errors import DiagonalSingularity, QuadratureUnstable
 
-EXACT_SCALING_NEUMANN = "exact_scaling_neumann"
-DIRICHLET_PART = "dirichlet_part"
-BOUNDARY_RESTRICTION = "boundary_restriction"
-PERTURBED = "perturbed"
-
-KERNEL_KINDS = (
-    EXACT_SCALING_NEUMANN,
-    DIRICHLET_PART,
-    BOUNDARY_RESTRICTION,
-    PERTURBED,
-)
-
 PAIRWISE_BLOCK = 1 << 16  # output entries per row block of ``pairwise``
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which covariance kernel to use and, for ``perturbed``, its g term.
+    """The covariance kernel: K_C when ``g`` is None, else K_C + g.
 
     ``g`` must be symmetric, g(z, w) = g(w, z), and vectorized: it is called
     with point arrays of shape (..., 2) that broadcast against each other and
     must return their broadcast shape.
     """
 
-    kind: str = EXACT_SCALING_NEUMANN
     g: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}; "
-                             f"expected one of {KERNEL_KINDS}")
-        if self.kind == PERTURBED and self.g is None:
-            raise ValueError("perturbed kernel requires a g function")
-        if self.kind != PERTURBED and self.g is not None:
-            raise ValueError("g is only meaningful for the perturbed kernel")
 
 
 def _check_point(p) -> tuple[float, float]:
@@ -89,28 +66,6 @@ def eval_neumann(z, w) -> float:
     if d_direct == 0.0 or d_image == 0.0:
         raise DiagonalSingularity(f"kernel singular at z={tuple(z)}, w={tuple(w)}")
     return float(-np.log(d_direct) - np.log(d_image))
-
-
-def eval_dirichlet(z, w) -> float:
-    """Dirichlet part -ln(|z - w| / |z - conj(w)|); vanishes on the boundary."""
-    d_direct, d_image = _dists(z, w)
-    if d_direct == 0.0 or d_image == 0.0:
-        raise DiagonalSingularity(f"kernel singular at z={tuple(z)}, w={tuple(w)}")
-    return float(-np.log(d_direct) + np.log(d_image))
-
-
-def eval_boundary(x: float, y: float) -> float:
-    """Boundary restriction -2 ln|x - y| for two points of the real line."""
-    d = abs(float(x) - float(y))
-    if d == 0.0:
-        raise DiagonalSingularity(f"boundary kernel singular at x = y = {x}")
-    return float(-2.0 * np.log(d))
-
-
-def eval_perturbed(z, w, g: Callable) -> float:
-    """Neumann-type kernel -ln|z - w||z - conj(w)| + g(z, w)."""
-    base = eval_neumann(z, w)
-    return float(base + g(np.asarray(z, dtype=float), np.asarray(w, dtype=float)))
 
 
 def lateral_cov(t, theta, t2, theta2):
@@ -156,13 +111,11 @@ def _g_matrix(g: Callable, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
 
 
 def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
-    """Kernel matrix at point centers (no diagonal regularization).
+    """Kernel matrix K_C (+ g) at point centers (no diagonal regularization).
 
     ``pts_*`` are (n, 2) arrays of half-plane points.  Coincident pairs produce
-    +inf; grid builders overwrite those entries with cell averages.  The
-    boundary restriction is defined on the real line only and raises
-    ``ValueError`` for any point with y != 0: its natural extension
-    -2 ln|z - conj(w)| is not positive definite on bulk points.
+    +inf; grid builders overwrite those entries with cell averages.  With
+    ``spec.g`` set, g is called once on all pairs and added to K_C.
 
     Each entry takes one logarithm of squared distances, and the matrix is
     filled in blocks of rows, so no temporary is as large as the output.
@@ -171,10 +124,6 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
     """
     pts_a = np.asarray(pts_a, dtype=float)
     pts_b = np.asarray(pts_b, dtype=float)
-    if spec.kind == BOUNDARY_RESTRICTION and (
-            np.any(pts_a[:, 1] != 0.0) or np.any(pts_b[:, 1] != 0.0)):
-        raise ValueError("the boundary restriction is defined on the real "
-                         "line only; got points with y != 0")
     out = np.empty((len(pts_a), len(pts_b)))
     xb, yb = pts_b[:, 0], pts_b[:, 1]
     rows = max(1, PAIRWISE_BLOCK // max(1, len(pts_b)))
@@ -185,24 +134,9 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
             ya = pts_a[i:i + rows, 1][:, None]
             dx2 = np.subtract(xa, xb)
             dx2 *= dx2
-            if spec.kind == BOUNDARY_RESTRICTION:
-                # -2 ln|x - y| = -ln (x - y)^2
-                np.negative(np.log(dx2, out=blk), out=blk)
-                continue
             d1sq = np.subtract(ya, yb)
             d1sq *= d1sq
             d1sq += dx2
-            if spec.kind == DIRICHLET_PART:
-                # ln(|z - conj(w)|/|z - w|) = 1/2 ln(1 + 4 y y' / |z - w|^2):
-                # no cancellation when the two distances are close
-                np.multiply(ya, yb, out=blk)
-                blk *= 4.0
-                blk /= d1sq
-                np.log1p(blk, out=blk)
-                blk *= 0.5
-                # coincident boundary points would give 0/0
-                blk[d1sq == 0.0] = np.inf
-                continue
             d2sq = np.add(ya, yb)
             d2sq *= d2sq
             d2sq += dx2
@@ -210,7 +144,7 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
             d1sq *= d2sq
             np.log(d1sq, out=blk)
             blk *= -0.5
-    if spec.kind == PERTURBED:
+    if spec.g is not None:
         # user code on the full broadcast, evaluated once
         out += _g_matrix(spec.g, pts_a, pts_b)
     return out

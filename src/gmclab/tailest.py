@@ -86,9 +86,6 @@ class WeightedSurvival:
     stderr: np.ndarray
     n_exceed: np.ndarray  # raw exceedance counts across all tilted draws
 
-    def rows(self):
-        return list(zip(self.ts, self.phat, self.stderr))
-
 
 # --- tail fits -----------------------------------------------------------------
 

@@ -1,15 +1,13 @@
 """Grid geometry, covariance factorization, sampling, and Girsanov shifts."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gmclab import fieldsim as fs
-from gmclab import gmc, kernels
-from gmclab.errors import (ConfigInvalid, InvalidResolution,
-                           NotPositiveDefinite, RegionMismatch)
+from gmclab import kernels
+from gmclab.cellavg import neg_log_avg_segment
+from gmclab.errors import ConfigInvalid, InvalidResolution, NotPositiveDefinite
 from gmclab.rng import stream_generator, thread_count
 
 
@@ -91,29 +89,31 @@ def test_perturbed_additivity():
     base = fs.build_cov(g).covariance()
     c = 0.7
     pert = fs.build_cov(g, kernels.KernelSpec(
-        kind=kernels.PERTURBED, g=lambda a, b: c + 0.0 * (
+        g=lambda a, b: c + 0.0 * (
             np.asarray(a)[..., 0] * np.asarray(b)[..., 0])))
     assert np.allclose(pert.covariance(), base + c, atol=1e-9)
 
 
-def test_boundary_restriction_two_node_example():
+def test_neumann_boundary_block_is_log_interval_kernel():
+    """The boundary block of the Neumann factor is the -2 ln|x - y|
+    covariance of the boundary field, cell averages included."""
     # off-diagonal -2 ln 1 = 0 for boundary nodes at x = -0.5, +0.5
     g = fs.build_grid(1.0, 2, 2)  # midpoints at -0.5, +0.5
     pts = g.node_points()[g.n_bulk_cells:]
-    k = kernels.pairwise(kernels.KernelSpec(kind=kernels.BOUNDARY_RESTRICTION),
-                         pts, pts)
+    k = kernels.pairwise(kernels.KernelSpec(), pts, pts)
     assert k[0, 1] == pytest.approx(0.0, abs=1e-12)
-    # the kernel lives on the boundary only: the factor covers the boundary
-    # block, in grid order, and carries the same entries
-    g2 = fs.build_grid(0.25, 2, 4)
-    f2 = fs.build_cov(g2, kernels.KernelSpec(kind=kernels.BOUNDARY_RESTRICTION))
-    assert f2.dim == g2.n_bdy
-    cov = f2.covariance()
-    d = abs(g2.bdy_centers[0] - g2.bdy_centers[1])
-    assert cov[0, 1] == pytest.approx(-2.0 * np.log(d), abs=1e-9)
-    # a boundary-only factor must not be read as full-grid node values
-    with pytest.raises(RegionMismatch):
-        fs.shift_vector(f2, g2, float(g2.bdy_centers[1]), 0.5)
+    for grid in (fs.build_grid(0.25, 2, 4), fs.build_grid(0.5, 16, 32)):
+        f = fs.build_cov(grid)
+        assert f.dim == grid.n_nodes
+        nb = grid.n_bulk_cells
+        block = f.covariance()[nb:, nb:]
+        x = grid.bdy_centers
+        off = ~np.eye(grid.n_bdy, dtype=bool)
+        with np.errstate(divide="ignore"):
+            want = -2.0 * np.log(np.abs(x[:, None] - x[None, :]))
+        assert np.abs(block - want)[off].max() <= 1e-9
+        assert np.abs(np.diag(block) - 2.0 * neg_log_avg_segment(
+            grid.seg_len)).max() <= 1e-9
 
 
 def test_bulk_boundary_cross_block_nonzero():
@@ -222,37 +222,6 @@ def test_thread_count_rejects_malformed_env(monkeypatch):
         monkeypatch.setenv("GMCLAB_THREADS", bad)
         with pytest.raises(ConfigInvalid):
             thread_count()
-
-
-def test_dirichlet_factor_builds_without_warnings():
-    """Coincident boundary nodes give +inf in the Dirichlet part, not nan."""
-    g = fs.build_grid(0.5, 4, 8)
-    spec = kernels.KernelSpec(kind=kernels.DIRICHLET_PART)
-    pts = g.node_points()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        k = kernels.pairwise(spec, pts, pts)
-        fs.build_cov(g, spec)
-    assert np.all(np.isposinf(np.diag(k)))
-    assert not np.any(np.isnan(k))
-
-
-def test_dirichlet_factor_covers_bulk_nodes_only():
-    """K_D vanishes on the boundary, so only the bulk block is factored,
-    exactly, and the node-indexed mass and shift functions refuse it."""
-    g = fs.build_grid(0.5, 4, 8)
-    spec = kernels.KernelSpec(kind=kernels.DIRICHLET_PART)
-    f = fs.build_cov(g, spec)
-    assert f.dim == g.n_bulk_cells and f.jitter_used == 0.0
-    bulk = g.node_points()[:g.n_bulk_cells]
-    cov = kernels.pairwise(spec, bulk, bulk)
-    np.fill_diagonal(cov, fs._diag_cell_averages(g, spec))
-    assert np.abs(f.covariance() - cov).max() <= 1e-10
-    x = fs.sample_field_batch(f, 1, 4)
-    with pytest.raises(RegionMismatch):
-        fs.shift_vector(f, g, float(g.bdy_centers[2]), 0.5)
-    with pytest.raises(RegionMismatch):
-        gmc.bulk_mass(x, f, g, gmc.GmcParams(1.0, 0.5), gmc.region_all_bulk(g))
 
 
 def test_empirical_covariance_matches_factor():

@@ -20,17 +20,19 @@ def test_neumann_diagonal_rejected():
         kernels.eval_neumann((0, 1), (0, 1))
     # conjugate-reflection coincidence on the boundary
     with pytest.raises(DiagonalSingularity):
-        kernels.eval_boundary(0.3, 0.3)
+        kernels.eval_neumann((0.3, 0.0), (0.3, 0.0))
 
 
 def test_boundary_values():
-    assert kernels.eval_boundary(0.0, 1.0) == pytest.approx(0.0)
-    assert kernels.eval_boundary(0.0, 0.5) == pytest.approx(2.0 * np.log(2.0))
-    assert kernels.eval_boundary(0.0, np.e) == pytest.approx(-2.0)
-    # equals the Neumann kernel restricted to the boundary (exactly)
+    # on the boundary the Neumann kernel is -2 ln|x - y|
+    def bdy(x, y):
+        return kernels.eval_neumann((x, 0.0), (y, 0.0))
+
+    assert bdy(0.0, 1.0) == pytest.approx(0.0)
+    assert bdy(0.0, 0.5) == pytest.approx(2.0 * np.log(2.0))
+    assert bdy(0.0, np.e) == pytest.approx(-2.0)
     for x, y in [(-0.4, 0.2), (0.1, 0.9), (-1.0, 1.5)]:
-        assert kernels.eval_boundary(x, y) == kernels.eval_neumann(
-            (x, 0.0), (y, 0.0))
+        assert bdy(x, y) == -2.0 * np.log(abs(x - y))
 
 
 def test_lateral_hand_value():
@@ -65,28 +67,24 @@ def test_kernel_symmetry_randomized():
     bdy = np.column_stack([rng.uniform(-1, 1, 300), np.zeros(300)])
     for spec, p in (
             (kernels.KernelSpec(), pts),
-            (kernels.KernelSpec(kind=kernels.DIRICHLET_PART), pts),
-            (kernels.KernelSpec(kind=kernels.BOUNDARY_RESTRICTION), bdy),
-            (kernels.KernelSpec(kind=kernels.PERTURBED,
-                                g=lambda a, b: a[..., 0] * b[..., 0]), pts)):
+            (kernels.KernelSpec(), bdy),
+            (kernels.KernelSpec(g=lambda a, b: a[..., 0] * b[..., 0]), pts)):
         k = kernels.pairwise(spec, p, p)
-        assert np.array_equal(k, k.T), spec.kind
+        assert np.array_equal(k, k.T), spec
 
 
 def test_perturbed_reductions():
-    z, w = (1.0, 1.0), (2.0, 1.0)
-    base = kernels.eval_neumann(z, w)
-    assert kernels.eval_perturbed(z, w, lambda a, b: 0.0) == pytest.approx(base)
-    assert kernels.eval_perturbed(z, w, lambda a, b: 3.25) == pytest.approx(
-        base + 3.25)
-    g = lambda a, b: 0.1 * a[..., 0] * b[..., 0]
-    assert kernels.eval_perturbed(z, w, g) == pytest.approx(base + 0.2)
-
-
-def test_dirichlet_vanishes_on_boundary():
-    assert kernels.eval_dirichlet((0.3, 0.0), (-0.2, 0.0)) == pytest.approx(0.0)
-    # positive in the bulk (direct distance below image distance)
-    assert kernels.eval_dirichlet((0.0, 0.5), (0.1, 0.6)) > 0
+    """pairwise with g is the Neumann matrix plus g on every pair."""
+    pts = np.array([[1.0, 1.0], [2.0, 1.0], [-0.3, 0.0], [0.4, 0.7]])
+    base = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+    off = ~np.eye(len(pts), dtype=bool)
+    xx = np.outer(pts[:, 0], pts[:, 0])
+    for c, k in ((0.0, 0.0), (3.25, 0.0), (0.0, 0.1)):  # f = c + k x x'
+        spec = kernels.KernelSpec(g=lambda a, b: c + k * a[..., 0] * b[..., 0])
+        pert = kernels.pairwise(spec, pts, pts)
+        np.testing.assert_allclose(pert[off] - base[off], (c + k * xx)[off],
+                                   rtol=1e-12, atol=1e-12)
+        assert np.all(np.isposinf(np.diag(pert)))
 
 
 def test_semicircle_avg_cov():
@@ -125,16 +123,13 @@ def test_pairwise_matches_scalar():
             if i != j:
                 assert mat[i, j] == pytest.approx(
                     kernels.eval_neumann(pts[i], pts[j]))
-    # the boundary restriction lives on the real line only
-    with pytest.raises(ValueError):
-        kernels.pairwise(kernels.KernelSpec(kind=kernels.BOUNDARY_RESTRICTION),
-                         pts, pts)
 
 
 def test_pairwise_matches_scalar_kernels_randomized():
-    """Every kind against its scalar form, on random points and on pairs
-    1e-8 apart.  The scalar forms add two logarithms, so entries near zero
-    carry an absolute rounding of a few ulps of ln d; hence the small atol."""
+    """The Neumann kernel against its scalar form, on random points, on
+    boundary points, and on pairs 1e-8 apart.  The scalar form adds two
+    logarithms, so entries near zero carry an absolute rounding of a few
+    ulps of ln d; hence the small atol."""
     rng = np.random.default_rng(23)
     n = 120
     bulk = np.column_stack([rng.uniform(-0.5, 0.5, n), rng.uniform(0, 1, n)])
@@ -144,32 +139,21 @@ def test_pairwise_matches_scalar_kernels_randomized():
     pts = np.vstack([bulk, near])
     line = np.column_stack([np.concatenate([pts[:, 0], pts[:40, 0] + 1e-8]),
                             np.zeros(len(pts) + 40)])
-    cases = (
-        (kernels.KernelSpec(), pts, kernels.eval_neumann),
-        (kernels.KernelSpec(kind=kernels.DIRICHLET_PART), pts,
-         kernels.eval_dirichlet),
-        (kernels.KernelSpec(kind=kernels.BOUNDARY_RESTRICTION), line,
-         lambda p, q: kernels.eval_boundary(p[0], q[0])))
-    for spec, p, scalar in cases:
-        mat = kernels.pairwise(spec, p, p)
+    for name, p in (("points", pts), ("line", line)):
+        mat = kernels.pairwise(kernels.KernelSpec(), p, p)
         off = ~np.eye(len(p), dtype=bool)
-        ref = np.array([[scalar(a, b) if i != j else 0.0
+        ref = np.array([[kernels.eval_neumann(a, b) if i != j else 0.0
                          for j, b in enumerate(p)] for i, a in enumerate(p)])
         np.testing.assert_allclose(mat[off], ref[off], rtol=1e-13, atol=1e-14,
-                                   err_msg=spec.kind)
-        assert np.all(np.isposinf(np.diag(mat))), spec.kind
+                                   err_msg=name)
+        assert np.all(np.isposinf(np.diag(mat))), name
 
 
 def test_pairwise_coincident_points_are_infinite():
     pts = np.array([[0.1, 0.3], [0.1, 0.3], [-0.2, 0.0], [-0.2, 0.0]])
-    for kind in (kernels.EXACT_SCALING_NEUMANN, kernels.DIRICHLET_PART):
-        mat = kernels.pairwise(kernels.KernelSpec(kind=kind), pts, pts)
-        assert np.isposinf(mat[0, 1]) and np.isposinf(mat[2, 3]), kind
-        assert np.all(np.isfinite(mat[:2, 2:])), kind
-    line = pts[2:]
-    mat = kernels.pairwise(
-        kernels.KernelSpec(kind=kernels.BOUNDARY_RESTRICTION), line, line)
-    assert np.all(np.isposinf(mat))
+    mat = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+    assert np.isposinf(mat[0, 1]) and np.isposinf(mat[2, 3])
+    assert np.all(np.isfinite(mat[:2, 2:]))
 
 
 def test_pairwise_blocks_match_one_block(monkeypatch):
@@ -177,21 +161,18 @@ def test_pairwise_blocks_match_one_block(monkeypatch):
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(-1, 1, 50), rng.uniform(0, 2, 50)])
     specs = (kernels.KernelSpec(),
-             kernels.KernelSpec(kind=kernels.DIRICHLET_PART),
-             kernels.KernelSpec(kind=kernels.PERTURBED,
-                                g=lambda a, b: a[..., 1] * b[..., 1]))
+             kernels.KernelSpec(g=lambda a, b: a[..., 1] * b[..., 1]))
     whole = [kernels.pairwise(s, pts, pts[:20]) for s in specs]
     monkeypatch.setattr(kernels, "PAIRWISE_BLOCK", 1)
     for s, m in zip(specs, whole):
-        assert np.array_equal(kernels.pairwise(s, pts, pts[:20]), m), s.kind
+        assert np.array_equal(kernels.pairwise(s, pts, pts[:20]), m), s
 
 
 def test_unvectorized_perturbation_raises():
     """g is called once on broadcast points: a result of the wrong shape
     raises ValueError, and an error raised by g itself propagates."""
     pts = np.array([[0.0, 0.5], [0.3, 1.0], [-0.2, 0.0]])
-    scalar = kernels.KernelSpec(kind=kernels.PERTURBED,
-                                g=lambda a, b: float(np.sum(a * b)))
+    scalar = kernels.KernelSpec(g=lambda a, b: float(np.sum(a * b)))
     with pytest.raises(ValueError, match="shape"):
         kernels.pairwise(scalar, pts, pts)
 
@@ -202,16 +183,4 @@ def test_unvectorized_perturbation_raises():
         raise Refused("g refuses broadcast points")
 
     with pytest.raises(Refused):
-        kernels.pairwise(kernels.KernelSpec(kind=kernels.PERTURBED, g=refuse),
-                         pts, pts)
-
-
-def test_kernelspec_validation():
-    # the lateral covariance lives on the cylinder, not on half-plane points
-    for kind in ("nope", "lateral"):
-        with pytest.raises(ValueError):
-            kernels.KernelSpec(kind=kind)
-    with pytest.raises(ValueError):
-        kernels.KernelSpec(kind=kernels.PERTURBED)  # missing g
-    with pytest.raises(ValueError):
-        kernels.KernelSpec(g=lambda a, b: 0.0)  # g without perturbed
+        kernels.pairwise(kernels.KernelSpec(g=refuse), pts, pts)
