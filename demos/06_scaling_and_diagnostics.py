@@ -5,8 +5,10 @@ Four desk-scale looks at the finer structure:
 
 - the localized bulk/boundary quotient over half-disks of radius rho scales
   exactly like rho^{zeta(p; q)} with zeta(p;q) = (2 - g^2/2)(p - q/2)
-  - g^2 (p - q/2)^2; running each rho on a geometrically similar grid makes
-  the discretization bias a common factor, so the fitted slope is clean;
+  - g^2 (p - q/2)^2.  The localized masses are those of the field tilted
+  toward v = 0, a segment midpoint of each grid; running each rho on a
+  geometrically similar grid makes the discretization bias a common
+  factor, so the fitted slope is clean;
 - quotient moments inside the admissible window p < min(2/g^2 + q/2, 4/g^2)
   stabilize as N grows, while outside the window the running mean keeps
   jumping (a diagnostic, not a proof of divergence);

@@ -7,8 +7,9 @@ Subpackage map:
 - ``cellavg``  cell averages of log-singular kernels, Gauss-Legendre rules
 - ``fieldsim`` half-plane grids, dense covariance factors, streamed field
   sampling, Girsanov shift vectors
-- ``gmc``      bulk/boundary/localized GMC masses of a field or a batch of
-  fields, and the masses of all boundary tilts at once
+- ``gmc``      bulk/boundary GMC masses of a field or a batch of fields,
+  and the masses of all boundary tilts at once; measures localized at a
+  boundary point are the masses of the field tilted toward it
 - ``radial``   maximum law, conditioned paths, lateral densities and the
   radial-route integrals
 - ``tailest``  survival curves, log-log WLS tail fits, the

@@ -41,6 +41,7 @@ from .radial import DriftSpec, RadialConfig, RadialSampler
 from .rng import stream_generator
 
 STABILITY_WINDOWS = 8  # sliding half-decade windows of the tail-fit scan
+WINDOW_P_ENTRY = 5e-3  # survival level where the tail-fit window may start
 
 EXPERIMENTS = (
     "validate-kernels",
@@ -281,20 +282,20 @@ def _exp_max_law(cfg: ExperimentConfig):
     return metrics, {"diagnostic": rows}, passed
 
 
-def _window_from_curve(curve: tailest.WeightedSurvival, mb_plain,
-                       p_entry: float = 5e-3):
+def _window_from_curve(curve: tailest.WeightedSurvival, mb_plain):
     """Default fit window for the asymptotic-tail exponent.
 
     Lower edge: past the 95th percentile of plain masses AND where the
-    importance-sampled survival has dropped below ``p_entry`` (the power law
-    is an asymptotic statement; the pre-asymptotic shoulder with P ~ 1e-2
-    biases the slope well outside its error bars at desk resolution).  Upper
-    edge: the last t where at least 50 importance-sampler replicas have a
-    tilt above t, capped at 1.75 decades above the lower edge.  The
-    sliding-window stability scan is the honesty check on this choice.
+    importance-sampled survival has dropped below ``WINDOW_P_ENTRY`` (the
+    power law is an asymptotic statement; the pre-asymptotic shoulder with
+    P ~ 1e-2 biases the slope well outside its error bars at desk
+    resolution).  Upper edge: the last t where at least 50
+    importance-sampler replicas have a tilt above t, capped at 1.75 decades
+    above the lower edge.  The sliding-window stability scan is the honesty
+    check on this choice.
     """
     t_lo = float(np.quantile(mb_plain, 0.95))
-    deep = curve.ts[curve.phat <= p_entry]
+    deep = curve.ts[curve.phat <= WINDOW_P_ENTRY]
     if deep.size:
         t_lo = max(t_lo, float(deep.min()))
     good = curve.ts[curve.n_exceed >= 50]
@@ -450,16 +451,21 @@ def _exp_quotient_moments(cfg: ExperimentConfig):
                                        sampler=sampler)
     mom_rad = float((mass_rad ** 0.3).mean())
     se_rad = float((mass_rad ** 0.3).std(ddof=1) / np.sqrt(mass_rad.size))
-    n_bulk = min(int(np.sqrt(MAX_DENSE_NODES - cfg.n_bdy)), 48)
-    grid = build_grid(rho, n_bulk, max(cfg.n_bdy, n_bulk))
+    # odd segment count puts v = 0 on a midpoint, where the tilt is exact
+    n_bulk = min(int(np.sqrt(MAX_DENSE_NODES - (cfg.n_bdy | 1))), 48)
+    grid = build_grid(rho, n_bulk, max(cfg.n_bdy, n_bulk) | 1)
     factor = build_cov(grid)
     pars2 = GmcParams(gamma=cfg.gamma, r=rho)
     n_grid = min(cfg.N, 30000)
-    cells, fracs = gmc.region_halfdisk_bulk(grid, 0.0, rho, fractions=True)
-    loc = np.concatenate(map_field_chunks(
-        factor, cfg.seed + 5, n_grid,
-        lambda x: gmc.localized_bulk_mass(x, factor, grid, pars2, 0.0, cells,
-                                          cell_fractions=fracs)))
+    cells = gmc.region_halfdisk_bulk(grid, 0.0, rho)
+    delta = shift_vector(factor, grid, 0.0, cfg.gamma / 2.0)
+
+    def localized_mass(x):
+        x += delta[:, None]
+        return gmc.bulk_mass(x, factor, grid, pars2, cells)
+
+    loc = np.concatenate(map_field_chunks(factor, cfg.seed + 5, n_grid,
+                                          localized_mass))
     mom_grid = float((loc ** 0.3).mean())
     se_grid = float((loc ** 0.3).std(ddof=1) / np.sqrt(n_grid))
     rel = abs(mom_rad - mom_grid) / mom_grid

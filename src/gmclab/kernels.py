@@ -127,7 +127,7 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
     out = np.empty((len(pts_a), len(pts_b)))
     xb, yb = pts_b[:, 0], pts_b[:, 1]
     rows = max(1, PAIRWISE_BLOCK // max(1, len(pts_b)))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         for i in range(0, len(pts_a), rows):
             blk = out[i:i + rows]
             xa = pts_a[i:i + rows, 0][:, None]

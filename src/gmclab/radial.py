@@ -501,18 +501,35 @@ class RadialSampler:
         return {k: np.concatenate(v) for k, v in out.items() if v}
 
 
+def _localized_masses(gamma: float, rho: float, n_rho: np.ndarray,
+                      draws: dict):
+    """(bulk, boundary) masses of the half-disk and interval of radius rho
+    at the origin, by the radial representation:
+
+        mu_H(Q(0, rho))   = rho^{2 - gamma^2/2} e^{gamma N_rho}
+                            e^{gamma M} I_H(M),
+        mu_bdy(I(0, rho)) = rho^{1 - gamma^2/4} e^{gamma N_rho / 2}
+                            e^{gamma M / 2} I_bdy(M),
+
+    with ``n_rho`` the draws of N_rho ~ Normal(0, -2 ln rho), independent of
+    the ``sample_joint(..., want_truncated=True)`` ``draws``.
+    """
+    bulk = rho ** (2.0 - gamma * gamma / 2.0) * np.exp(gamma * n_rho) \
+        * np.exp(gamma * draws["M"]) * draws["IH_M"]
+    bdy = rho ** (1.0 - gamma * gamma / 4.0) * np.exp(0.5 * gamma * n_rho) \
+        * np.exp(0.5 * gamma * draws["M"]) * draws["Ibdy_M"]
+    return bulk, bdy
+
+
 def radial_bulk_mass(params, rho: float, seed: int, sampler: RadialSampler,
                      n: int) -> np.ndarray:
-    """Localized bulk mass at the origin by the radial representation:
+    """Localized bulk mass mu_H(Q(0, rho)) at the origin by the radial
+    representation (see ``_localized_masses``).
 
-        mu_H(Q(0, rho)) = rho^{2 - gamma^2/2} e^{gamma N_rho} e^{gamma M} I_H(M),
-
-    with N_rho ~ Normal(0, -2 ln rho) independent of everything else.
     ``params`` carries gamma and the cube half-width r (needs rho <= r < 1 on
     the rho side); ``sampler`` draws (M, I_H(M)) at the same gamma.  Returns
     n draws.
     """
-    gamma = params.gamma
     if not (0.0 < rho < 1.0):
         raise InvalidRho(f"need rho in (0, 1) so Var N_rho = -2 ln rho > 0; "
                          f"got rho={rho}")
@@ -521,5 +538,4 @@ def radial_bulk_mass(params, rho: float, seed: int, sampler: RadialSampler,
     draws = sampler.sample_joint(seed, n, want_truncated=True)
     rng = stream_generator(seed, 2 ** 32)  # N_rho stream, disjoint from chunks
     n_rho = np.sqrt(-2.0 * np.log(rho)) * rng.standard_normal(n)
-    return rho ** (2.0 - gamma ** 2 / 2.0) * np.exp(gamma * n_rho) \
-        * np.exp(gamma * draws["M"]) * draws["IH_M"]
+    return _localized_masses(params.gamma, rho, n_rho, draws)[0]

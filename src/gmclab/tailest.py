@@ -41,7 +41,7 @@ from .errors import (ConfigInvalid, DegenerateWindow, EmptySample,
 from .fieldsim import (CovFactor, Grid, build_cov, build_grid,
                        map_field_chunks, shift_vector)
 from .gmc import GmcParams
-from .radial import RadialSampler
+from .radial import RadialSampler, _localized_masses
 from .rng import chunk_sizes, stream_generator
 
 # radial-constant bootstrap resamples (drawn and averaged BOOT_ROWS at a
@@ -51,7 +51,7 @@ BOOT_ROWS = 16
 TRIM = 1e-3
 # quotient_rho_scan: geometrically similar grids with r = R_OVER_RHO * rho
 RHO_SCAN_N_BULK = 24
-RHO_SCAN_N_BDY = 24
+RHO_SCAN_N_BDY = 25  # odd, so that v = 0 is a segment midpoint
 R_OVER_RHO = 1.25
 
 
@@ -336,10 +336,7 @@ def radial_constant_curve(params: GmcParams, ts, seed: int, draws: dict):
     n = draws["M"].size
     rng = stream_generator(seed, 2 ** 40)
     n_rho = np.sqrt(-2.0 * np.log(rho)) * rng.standard_normal(n)
-    num = rho ** (2.0 - g * g / 2.0) * np.exp(g * n_rho) \
-        * np.exp(g * draws["M"]) * draws["IH_M"]
-    den = rho ** (1.0 - g * g / 4.0) * np.exp(0.5 * g * n_rho) \
-        * np.exp(0.5 * g * draws["M"]) * draws["Ibdy_M"]
+    num, den = _localized_masses(g, rho, n_rho, draws)
     inv = 1.0 / den
     rows = []
     for t in np.atleast_1d(np.asarray(ts, dtype=float)):
@@ -395,14 +392,17 @@ def quotient_rho_scan(gamma: float, p: float, q: float, rhos: Sequence[float],
                       N: int, seed: int):
     """log-log slope of the localized ball quotient against rho.
 
-    At each rho the quotient is E[mu^H_0(A)^p / mu^bdy_0(I)^q] under the
-    plain field law, with A and I the half-disk and interval of radius rho
-    at v = 0.  Each rho runs on its own geometrically similar grid
-    (r = R_OVER_RHO rho, fixed node counts), so the exact scale invariance
-    of the kernel makes discretization bias a common factor and the fitted
-    slope converges to zeta_tilde(p; q).  The 1.25 ratio keeps the largest
-    cube inside the region where the log kernel stays positive definite.
-    Returns (slope, slope_stderr, rows) with rows of (rho, estimate, stderr).
+    At each rho the quotient is E[mu^H_0(A)^p / mu^bdy_0(I)^q], with A and I
+    the half-disk and interval of radius rho at v = 0 and the measures those
+    of the field tilted toward v = 0 (see ``gmc``).  The tilt is the exact
+    Girsanov drift only at a segment midpoint, so the segment count
+    ``RHO_SCAN_N_BDY`` is odd.  Each rho runs on its own geometrically
+    similar grid (r = R_OVER_RHO rho, fixed node counts), so the exact scale
+    invariance of the kernel makes discretization bias a common factor and
+    the fitted slope converges to zeta_tilde(p; q).  The 1.25 ratio keeps
+    the largest cube inside the region where the log kernel stays positive
+    definite.  Returns (slope, slope_stderr, rows) with rows of (rho,
+    estimate, stderr).
     """
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
@@ -411,12 +411,14 @@ def quotient_rho_scan(gamma: float, p: float, q: float, rhos: Sequence[float],
         grid = build_grid(R_OVER_RHO * rho, RHO_SCAN_N_BULK, RHO_SCAN_N_BDY)
         factor = build_cov(grid)
         params = GmcParams(gamma=gamma, r=R_OVER_RHO * rho)
+        delta = shift_vector(factor, grid, 0.0, gamma / 2.0)
         cells = gmc.region_halfdisk_bulk(grid, 0.0, rho)
         segs = gmc.region_interval_bdy(grid, -rho, rho)
 
         def quotient(x):
-            num = gmc.localized_bulk_mass(x, factor, grid, params, 0.0, cells)
-            den = gmc.localized_bdy_mass(x, factor, grid, params, 0.0, segs)
+            x += delta[:, None]
+            num = gmc.bulk_mass(x, factor, grid, params, cells)
+            den = gmc.bdy_mass(x, factor, grid, params, segs)
             return num ** p / den ** q
 
         vals = np.concatenate(map_field_chunks(factor, seed + i, N, quotient))

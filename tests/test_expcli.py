@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +119,19 @@ def test_cli_threads_flag(tmp_path, monkeypatch):
                       "--out", str(tmp_path)])
     assert rc == 0
     assert os.environ["GMCLAB_THREADS"] == "2"
+
+
+def test_module_entry_point_runs_without_warning():
+    """``python -m gmclab`` reaches the command line, without the runpy
+    warning that running the eagerly imported ``gmclab.expcli`` gives."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "gmclab", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_tail_fit_counts_skipped_stability_windows(tmp_path):

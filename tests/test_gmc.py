@@ -1,4 +1,5 @@
-"""GMC masses: renormalization identities, localized weights, scaling."""
+"""GMC masses: renormalization identities, localized masses of tilted
+fields, scaling."""
 
 import numpy as np
 import pytest
@@ -42,9 +43,6 @@ def test_gamma_to_zero_degeneracy(setup):
     assert np.allclose(mb, 1.0, atol=1e-6)  # area of Q_{1/2}
     md = gmc.bdy_mass(x, factor, grid, params, gmc.region_all_bdy(grid))
     assert np.allclose(md, 1.0, atol=1e-6)  # |I_r| = 2r
-    lb = gmc.localized_bulk_mass(x, factor, grid, params, 0.01,
-                                 gmc.region_all_bulk(grid))
-    assert np.allclose(lb, 1.0, rtol=1e-3)
 
 
 def test_exact_means(setup):
@@ -106,96 +104,53 @@ def test_supercritical_bulk_weight(setup):
     assert np.isfinite(gmc.bulk_mass(x, factor, grid, params, top))
 
 
-def test_localized_far_field(setup):
-    """Weight nearly constant when v is far from the region."""
-    grid, factor = setup
-    params = GmcParams(1.0, 0.5)
-    x = fs.sample_field_batch(factor, 21, 1)[:, 0]
-    # distant cells in the upper-right corner
+@pytest.mark.parametrize("gamma", [1.0, 1.2])
+def test_tilted_field_masses_are_localized_masses(gamma):
+    """Masses of the field tilted toward a boundary midpoint v are the
+    localized masses: each bulk cell weight times |c_i - v|^{-gamma^2}, and
+    each segment j away from v weighted by |m_j - v|^{-gamma^2/2}."""
+    grid = fs.build_grid(0.5, 8, 17)
+    factor = fs.build_cov(grid)
+    params = GmcParams(gamma, 0.5)
+    j = grid.n_bdy // 2
+    v = float(grid.bdy_centers[j])
+    x = fs.sample_field_batch(factor, 51, 20)
+    tilted = x + fs.shift_vector(factor, grid, v, gamma / 2.0)[:, None]
+    var = factor.diag_var[:, None]
+
+    cells = gmc.region_all_bulk(grid)
     c = grid.bulk_centers
-    region = np.flatnonzero((c[:, 0] > 0.3) & (c[:, 1] > 0.8))
-    v = -0.45
-    d = np.hypot(c[region, 0] - v, c[region, 1]).mean()
-    plain = gmc.bulk_mass(x, factor, grid, params, region)
-    loc = gmc.localized_bulk_mass(x, factor, grid, params, v, region)
-    assert loc == pytest.approx(d ** (-params.gamma ** 2) * plain, rel=0.2)
+    w = gmc.bulk_weights(grid, params) \
+        * np.hypot(c[:, 0] - v, c[:, 1]) ** -gamma ** 2
+    ref = w @ np.exp(gamma * x[cells] - 0.5 * gamma ** 2 * var[cells])
+    np.testing.assert_allclose(
+        gmc.bulk_mass(tilted, factor, grid, params, cells), ref,
+        rtol=1e-12, atol=0.0)
 
-
-def test_localized_bdy_far_field(setup):
-    grid, factor = setup
-    params = GmcParams(1.0, 0.5)
-    x = fs.sample_field_batch(factor, 22, 1)[:, 0]
-    segs = gmc.region_interval_bdy(grid, 0.3, 0.5)
-    v = -0.45
-    d = np.abs(grid.bdy_centers[segs] - v).mean()
-    plain = gmc.bdy_mass(x, factor, grid, params, segs)
-    loc = gmc.localized_bdy_mass(x, factor, grid, params, v, segs)
-    assert loc == pytest.approx(d ** (-params.gamma ** 2 / 2) * plain, rel=0.2)
-
-
-def test_subdivision_convergence(setup):
-    """Halving the tolerance moves near-v cell weights by far under 0.1%."""
-    grid, _ = setup
-    params = GmcParams(1.0, 0.5)
-    w1, meta = gmc.localized_bulk_cell_integrals(grid, params, 0.02, tol=1e-3)
-    w2, _ = gmc.localized_bulk_cell_integrals(grid, params, 0.02, tol=5e-4)
-    rel = np.abs(w1 - w2) / np.maximum(w2, 1e-300)
-    assert rel.max() <= 1e-3
-    assert meta["window_radius"] == 0.0  # integrable at gamma = 1
-
-
-def test_localized_weight_brute_force(setup):
-    """Adaptive cell integral of y^{-p}|z-v|^{-b} matches plain Monte Carlo."""
-    grid, _ = setup
-    params = GmcParams(1.0, 0.5)
-    v = 0.02
-    w, _ = gmc.localized_bulk_cell_integrals(grid, params, v, tol=1e-4)
-    rng = np.random.default_rng(0)
-    i = int(np.argmax(w))  # most singular cell
-    cx, cy = grid.bulk_centers[i]
-    n = 2_000_000
-    px = cx + (rng.random(n) - 0.5) * grid.dx
-    py = cy + (rng.random(n) - 0.5) * grid.dy
-    vals = py ** -0.5 * ((px - v) ** 2 + py ** 2) ** -0.5
-    est = vals.mean() * grid.cell_area
-    se = vals.std() * grid.cell_area / np.sqrt(n)
-    assert abs(w[i] - est) <= 4 * se
-
-
-def test_bdy_segment_weight_closed_form(setup):
-    """gamma = 1 abutting segment: integral of u^{-1/2} is 2 sqrt(l)."""
-    grid, _ = setup
-    params = GmcParams(1.0, 0.5)
-    j = 5
-    v = -grid.r + j * grid.seg_len  # shared endpoint of segments 4 and 5
-    w, _ = gmc.localized_bdy_segment_integrals(grid, params, v + 1e-12)
-    assert w[5] == pytest.approx(2.0 * np.sqrt(grid.seg_len), rel=1e-5)
-
-
-def test_bdy_window_exclusion():
-    grid = fs.build_grid(0.5, 4, 8)
-    params = GmcParams(1.5, 0.5)  # gamma^2/2 = 1.125 >= 1
-    v = float(grid.bdy_centers[3])
-    w, meta = gmc.localized_bdy_segment_integrals(grid, params, v)
-    assert meta["window_halfwidth"] == pytest.approx(grid.seg_len / 2)
-    assert meta["window_segment"] == 3
-    assert w[3] == 0.0  # midpoint window covers the whole segment
-    assert np.all(np.isfinite(w))
+    segs = np.delete(gmc.region_all_bdy(grid), j)
+    nodes = grid.n_bulk_cells + segs
+    w = grid.seg_len * np.abs(grid.bdy_centers[segs] - v) ** (-gamma ** 2 / 2)
+    ref = w @ np.exp(0.5 * gamma * x[nodes] - gamma ** 2 / 8 * var[nodes])
+    np.testing.assert_allclose(
+        gmc.bdy_mass(tilted, factor, grid, params, segs), ref,
+        rtol=1e-12, atol=0.0)
 
 
 def test_localized_mass_scaling_ratio():
-    """E[mu_H_0(Q(0, 2 rho))^p] / E[mu_H_0(Q(0, rho))^p] ~ 2^{zeta(p; 0)}."""
+    """E[mu_H_0(Q(0, 2 rho))^p] / E[mu_H_0(Q(0, rho))^p] ~ 2^{zeta(p; 0)},
+    with mu_H_0 the bulk mass of the field tilted toward v = 0."""
     from gmclab.tailest import zeta_tilde
     gamma = 1.0
     n = 20_000
     moments = {}
     for i, rho in enumerate((0.1, 0.2)):
-        grid = fs.build_grid(2.5 * rho, 20, 20)
+        grid = fs.build_grid(2.5 * rho, 20, 21)
         factor = fs.build_cov(grid)
         params = GmcParams(gamma, 2.5 * rho)
         x = fs.sample_field_batch(factor, 31 + i, n)
+        x += fs.shift_vector(factor, grid, 0.0, gamma / 2.0)[:, None]
         cells = gmc.region_halfdisk_bulk(grid, 0.0, rho)
-        loc = gmc.localized_bulk_mass(x, factor, grid, params, 0.0, cells)
+        loc = gmc.bulk_mass(x, factor, grid, params, cells)
         moments[rho] = {p: np.mean(loc ** p) for p in (0.25, 0.4)}
     for p in (0.25, 0.4):
         ratio = moments[0.2][p] / moments[0.1][p]
@@ -261,12 +216,9 @@ def test_masses_leave_the_field_unchanged(setup):
     params = GmcParams(1.0, 0.5)
     x = fs.sample_field_batch(factor, 41, 50)
     bulk, bdy = gmc.region_all_bulk(grid), gmc.region_all_bdy(grid)
-    v = float(grid.bdy_centers[5]) + 0.1 * grid.seg_len
     calls = [
         lambda f: gmc.bulk_mass(f, factor, grid, params, bulk),
         lambda f: gmc.bdy_mass(f, factor, grid, params, bdy),
-        lambda f: gmc.localized_bulk_mass(f, factor, grid, params, v, bulk),
-        lambda f: gmc.localized_bdy_mass(f, factor, grid, params, v, bdy),
     ]
     for field in (x, x[:, 7]):
         before = field.copy()

@@ -151,7 +151,8 @@ def test_pairwise_matches_scalar_kernels_randomized():
 
 def test_pairwise_coincident_points_are_infinite():
     pts = np.array([[0.1, 0.3], [0.1, 0.3], [-0.2, 0.0], [-0.2, 0.0]])
-    mat = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+    with np.errstate(invalid="raise"):
+        mat = kernels.pairwise(kernels.KernelSpec(), pts, pts)
     assert np.isposinf(mat[0, 1]) and np.isposinf(mat[2, 3])
     assert np.all(np.isfinite(mat[:2, 2:]))
 
