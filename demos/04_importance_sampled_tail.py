@@ -11,7 +11,7 @@ tail exponent 2/gamma^2.
 import numpy as np
 
 from gmclab import fieldsim, tailest
-from gmclab.expcli import _window_from_curve
+from gmclab.expcli import window_from_curve
 from gmclab.gmc import GmcParams
 
 gamma, r = 1.0, 0.5
@@ -24,7 +24,7 @@ t0 = float(np.quantile(mb, 0.90))
 ts = np.geomspace(t0, 3000 * t0, 60)
 curve = tailest.localized_survival_curve(params, grid, factor, ts,
                                          n_per_point=20_000, seed=7)
-window = _window_from_curve(curve, mb)
+window = window_from_curve(curve, mb)
 fit = tailest.fit_tail(curve, window)
 
 print(f"fit window t in ({window[0]:.1f}, {window[1]:.1f})")

@@ -17,7 +17,7 @@ That gap is a finite-t statement, not a disagreement between the routes.
 import numpy as np
 
 from gmclab import fieldsim, tailest
-from gmclab.expcli import _window_from_curve
+from gmclab.expcli import window_from_curve
 from gmclab.gmc import GmcParams
 from gmclab.radial import RadialConfig, RadialSampler
 
@@ -30,7 +30,7 @@ factor = fieldsim.build_cov(grid)
 _, mb = tailest.plain_survival(params, grid, factor, [1.0], 20_000, seed=99)
 ts = np.geomspace(np.quantile(mb, 0.9), 3000 * np.quantile(mb, 0.9), 60)
 curve = tailest.localized_survival_curve(params, grid, factor, ts, 20_000, 7)
-window = _window_from_curve(curve, mb)
+window = window_from_curve(curve, mb)
 c_grid, c_spread = tailest.fixed_exponent_constant(curve, 2 / gamma ** 2,
                                                    window)
 # the spread is max(noise floor, scatter of c(t) over the window): on a

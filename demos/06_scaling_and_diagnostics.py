@@ -36,8 +36,9 @@ print(f"  fitted slope {slope:.3f} ± {se:.3f}   "
       f"zeta_tilde = {tailest.zeta_tilde(1.0, 1.0, gamma):.3f}")
 
 sampler = RadialSampler(gamma, RadialConfig(T=12.0, ds=0.1, n_theta=16))
-inside = tailest.radial_quotient_moment(1.9, 1.0, gamma, 20_000, 5, sampler)
-outside = tailest.radial_quotient_moment(3.0, 1.0, gamma, 20_000, 6, sampler)
+draws = sampler.sample_joint(5, 20_000, want_truncated=False)
+inside = tailest.radial_quotient_moment(1.9, 1.0, gamma, draws)
+outside = tailest.radial_quotient_moment(3.0, 1.0, gamma, draws)
 print("\nquotient-moment window diagnostic (running means at N/4, N/2, N):")
 for est, tag in ((inside, "p=1.9 (inside)"), (outside, "p=3.0 (outside)")):
     rm = est.running_mean
@@ -52,10 +53,10 @@ x += fieldsim.shift_vector(factor, grid, 0.0, gamma / 2)[:, None]
 from gmclab import gmc
 mass = gmc.bulk_mass(x, factor, grid, params, gmc.region_all_bulk(grid))
 print("\nlocality of the tilted tail (|gap| / local term):")
-for q in (0.5, 0.9, 0.99):
-    t = float(np.quantile(mass, q))
-    gap, gse, local = tailest.locality_gap(params, grid, factor, 0.0,
-                                           0.125, t, 50_000, 9)
+quants = (0.5, 0.9, 0.99)
+gaps = tailest.locality_gap(params, grid, factor, 0.0, 0.125,
+                            np.quantile(mass, quants), 50_000, 9)
+for q, (t, gap, gse, local) in zip(quants, gaps):
     print(f"  t at q{int(100 * q):02d}: ratio = {abs(gap) / local:.3f}")
 
 print("\nfeasibility witnesses:")

@@ -10,9 +10,7 @@ singular part always reduces, after substituting difference coordinates, to
 the mean log-distance between two rectangles.  It has a closed form as a
 second difference in u and in v of one antiderivative; on far image rows,
 where that difference cancels badly, a fixed Gauss-Legendre rule on the
-smooth integrand is used instead.  Values are cached per cell shape.  The
-module also caches the Gauss-Legendre rules that the smooth cell integrals
-of ``gmc`` and ``radial`` use.
+smooth integrand is used instead.  Values are cached per cell shape.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ SEGMENT_LOG_CONST = 1.5
 # beyond this many support widths from the origin the quadrature takes over
 FAR_ROW_RATIO = 4.0
 FAR_ROW_NODES = 12  # Gauss-Legendre nodes per smooth piece of each density
+_FAR_ROW_RULE = leggauss(FAR_ROW_NODES)
 
 
 def neg_log_avg_segment(length: float) -> float:
@@ -72,7 +71,7 @@ def _far_row_quadrature(a: float, lo: float, mid: float, hi: float) -> float:
     The integrand is smooth there; each triangular density is split at its
     kink into linear pieces: U folded to [0, a], V at its midpoint.
     """
-    x, w = _gauss_nodes(FAR_ROW_NODES)
+    x, w = _FAR_ROW_RULE
     hw = 0.5 * (hi - lo)
     # density times Jacobian: 2 (a - u)/a^2 * a/2 on u in [0, a], and
     # (hw - t)/hw^2 * hw/2 on v = mid -/+ t, t in [0, hw]
@@ -108,10 +107,4 @@ def neg_log_avg_tri(a: float, v_lo: float, v_hi: float) -> float:
     else:
         val = _closed_form(a_s, lo_s, mid, hi_s)
     return float(val) - np.log(scale)
-
-
-@lru_cache(maxsize=64)
-def _gauss_nodes(n: int):
-    x, w = leggauss(n)
-    return x, w
 

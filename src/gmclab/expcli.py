@@ -33,9 +33,10 @@ import numpy as np
 
 from . import __version__ as code_version
 from . import gmc, kernels, radial, tailest
-from .errors import ConfigInvalid, DegenerateWindow, GmclabError, IoFailure
+from .errors import (ConfigInvalid, DegenerateWindow, GmclabError,
+                     InvalidRho, IoFailure)
 from .fieldsim import (MAX_DENSE_NODES, build_cov, build_grid,
-                       map_field_chunks, sample_field_batch, shift_vector)
+                       map_field_chunks, shift_vector)
 from .gmc import GmcParams
 from .radial import DriftSpec, RadialConfig, RadialSampler
 from .rng import stream_generator
@@ -209,6 +210,11 @@ def _exp_validate_kernels(cfg: ExperimentConfig):
     return metrics, curves, passed
 
 
+def _joined(parts):
+    """Per-chunk tuples of per-replica arrays, joined into one array each."""
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
 def _exp_validate_girsanov(cfg: ExperimentConfig):
     """Two-estimator Girsanov check plus exact renormalization means."""
     grid = build_grid(cfg.r, min(cfg.n_bulk, 6), min(cfg.n_bdy, 12))
@@ -218,21 +224,33 @@ def _exp_validate_girsanov(cfg: ExperimentConfig):
     j = grid.n_bdy // 2
     v = float(grid.bdy_centers[j])
     node = grid.n_bulk_cells + j
-    xa = sample_field_batch(factor, cfg.seed + 1, cfg.N)
-    xb = sample_field_batch(factor, cfg.seed + 2, cfg.N)
-    for tag, g in (("a", cfg.gamma), ("b", 1.5)):
-        charge = g / 2.0
-        delta = shift_vector(factor, grid, v, charge)
-        w = np.exp(charge * xa[node] - 0.5 * charge ** 2
-                   * factor.diag_var[node])
+    all_bdy = gmc.region_all_bdy(grid)
+    couplings = (cfg.gamma, 1.5)
+    drifts = [shift_vector(factor, grid, v, g / 2.0) for g in couplings]
+
+    def functional(x, g):
         # boundary-mass test functional: bounded, smooth, and defined for
         # every gamma < 2 (bulk weights would diverge from sqrt(2) on)
         pars = GmcParams(gamma=g, r=cfg.r)
-        fa = np.exp(-gmc.bdy_mass(xa, factor, grid, pars,
-                                  gmc.region_all_bdy(grid)))
-        fb = np.exp(-gmc.bdy_mass(xb + delta[:, None], factor, grid, pars,
-                                  gmc.region_all_bdy(grid)))
-        est_a, se_a = (fa * w).mean(), (fa * w).std(ddof=1) / np.sqrt(cfg.N)
+        return np.exp(-gmc.bdy_mass(x, factor, grid, pars, all_bdy))
+
+    def likelihood_ratio(x, g):
+        # e^{c X_v - c^2/2 Var X_v} of the tilt toward v with charge c = g/2
+        c = g / 2.0
+        return np.exp(c * x[node] - 0.5 * c ** 2 * factor.diag_var[node])
+
+    # one batch per estimator serves both couplings: f(X) reweighted by the
+    # likelihood ratio, and f(X + s_v)
+    reweighted = _joined(map_field_chunks(
+        factor, cfg.seed + 1, cfg.N,
+        lambda x: [functional(x, g) * likelihood_ratio(x, g)
+                   for g in couplings]))
+    shifted = _joined(map_field_chunks(
+        factor, cfg.seed + 2, cfg.N,
+        lambda x: [functional(x + d[:, None], g)
+                   for g, d in zip(couplings, drifts)]))
+    for tag, g, fa, fb in zip("ab", couplings, reweighted, shifted):
+        est_a, se_a = fa.mean(), fa.std(ddof=1) / np.sqrt(cfg.N)
         est_b, se_b = fb.mean(), fb.std(ddof=1) / np.sqrt(cfg.N)
         z = (est_a - est_b) / np.hypot(se_a, se_b)
         metrics[f"girsanov_z_{tag}_gamma={g}"] = float(z)
@@ -240,9 +258,12 @@ def _exp_validate_girsanov(cfg: ExperimentConfig):
     grid = build_grid(cfg.r, min(cfg.n_bulk, 8), min(cfg.n_bdy, 16))
     factor = build_cov(grid)
     params = GmcParams(gamma=cfg.gamma, r=cfg.r)
-    x = sample_field_batch(factor, cfg.seed + 3, cfg.N)
-    mb = gmc.bulk_mass(x, factor, grid, params, gmc.region_all_bulk(grid))
-    md = gmc.bdy_mass(x, factor, grid, params, gmc.region_all_bdy(grid))
+    mb, md = _joined(map_field_chunks(
+        factor, cfg.seed + 3, cfg.N,
+        lambda x: (gmc.bulk_mass(x, factor, grid, params,
+                                 gmc.region_all_bulk(grid)),
+                   gmc.bdy_mass(x, factor, grid, params,
+                                gmc.region_all_bdy(grid)))))
     target_b = float(gmc.bulk_weights(grid, params).sum())
     zb = (mb.mean() - target_b) / (mb.std(ddof=1) / np.sqrt(cfg.N))
     zd = (md.mean() - 2 * cfg.r) / (md.std(ddof=1) / np.sqrt(cfg.N))
@@ -282,7 +303,7 @@ def _exp_max_law(cfg: ExperimentConfig):
     return metrics, {"diagnostic": rows}, passed
 
 
-def _window_from_curve(curve: tailest.WeightedSurvival, mb_plain):
+def window_from_curve(curve: tailest.WeightedSurvival, mb_plain):
     """Default fit window for the asymptotic-tail exponent.
 
     Lower edge: past the 95th percentile of plain masses AND where the
@@ -308,15 +329,14 @@ def _window_from_curve(curve: tailest.WeightedSurvival, mb_plain):
 
 @dataclass(frozen=True)
 class _TailFitRun:
-    """What tail-fit, constant-two-route and perturbed-g share."""
+    """What tail-fit, constant-two-route and perturbed-g share; ``metrics``
+    and ``passed`` are tail-fit's record."""
 
     params: GmcParams
     curve: tailest.WeightedSurvival
     window: tuple
-    fit: tailest.TailFit
-    c_anchor: float          # constant with the exponent pinned to 2/g^2
-    c_anchor_stderr: float   # see fixed_exponent_constant: not a sampling SE
-    stability: list          # free exponents over sliding half-decade windows
+    metrics: dict
+    passed: bool
     curves: dict
 
 
@@ -335,7 +355,7 @@ def _tail_fit_run(cfg: ExperimentConfig, kernel=None) -> _TailFitRun:
         ts = np.geomspace(t0, t0 * 3000.0, 60)
     curve = tailest.localized_survival_curve(params, grid, factor, ts,
                                              cfg.N, cfg.seed)
-    window = _window_from_curve(curve, mb_plain)
+    window = window_from_curve(curve, mb_plain)
     fit = tailest.fit_tail(curve, window)
     target = 2.0 / cfg.gamma ** 2
     c_anchor, c_se = tailest.fixed_exponent_constant(curve, target, window)
@@ -351,26 +371,14 @@ def _tail_fit_run(cfg: ExperimentConfig, kernel=None) -> _TailFitRun:
                          f.exponent, f.stderr_exponent))
         except DegenerateWindow:  # too few curve points in this window
             pass
-    curves = {
-        "survival_is": list(zip(curve.ts, curve.phat, curve.stderr)),
-        "fit_stability": rows,
-    }
-    return _TailFitRun(params=params, curve=curve, window=window, fit=fit,
-                       c_anchor=c_anchor, c_anchor_stderr=c_se,
-                       stability=stab, curves=curves)
-
-
-def _exp_tail_fit(cfg: ExperimentConfig):
-    run = _tail_fit_run(cfg)
-    fit, window, stab = run.fit, run.window, run.stability
-    target = 2.0 / cfg.gamma ** 2
     metrics = {
         "exponent": fit.exponent,
         "exponent_stderr": fit.stderr_exponent,
         "exponent_target": target,
         "constant_free_fit": fit.constant,
-        "constant_anchored": run.c_anchor,
-        "constant_anchored_stderr": run.c_anchor_stderr,
+        # exponent pinned to 2/g^2; its spread is not a sampling SE
+        "constant_anchored": c_anchor,
+        "constant_anchored_stderr": c_se,
         "window_lo": window[0],
         "window_hi": window[1],
         "stability_windows_skipped": STABILITY_WINDOWS - len(stab),
@@ -380,15 +388,27 @@ def _exp_tail_fit(cfg: ExperimentConfig):
         metrics["stability_max"] = float(max(stab))
     tol = 0.15 if abs(cfg.gamma - 1.0) < 1e-9 else 0.20
     plateau_ok = bool(stab) and (min(stab) - 0.1 <= target <= max(stab) + 0.1)
-    passed = abs(fit.exponent - target) <= tol and plateau_ok
     metrics["plateau_contains_target"] = plateau_ok
-    return metrics, run.curves, passed
+    curves = {
+        "survival_is": list(zip(curve.ts, curve.phat, curve.stderr)),
+        "fit_stability": rows,
+    }
+    return _TailFitRun(params=params, curve=curve, window=window,
+                       metrics=metrics,
+                       passed=abs(fit.exponent - target) <= tol and plateau_ok,
+                       curves=curves)
+
+
+def _exp_tail_fit(cfg: ExperimentConfig):
+    run = _tail_fit_run(cfg)
+    return run.metrics, run.curves, run.passed
 
 
 def _exp_constant_two_route(cfg: ExperimentConfig):
     run = _tail_fit_run(cfg)
     params, curve, window = run.params, run.curve, run.window
-    c_anchor, c_se = run.c_anchor, run.c_anchor_stderr
+    c_anchor = run.metrics["constant_anchored"]
+    c_se = run.metrics["constant_anchored_stderr"]
     sampler = RadialSampler(cfg.gamma, cfg.radial_config())
     draws = sampler.sample_joint(cfg.seed + 7, cfg.N, want_truncated=True)
     est = tailest.estimate_constant_radial(params, cfg.N, cfg.seed + 7,
@@ -411,11 +431,13 @@ def _exp_constant_two_route(cfg: ExperimentConfig):
     log_mid, log_ts = np.log(t_probe[1]), np.log(curve.ts)
     c_grid_mid = float(np.interp(log_mid, log_ts, curve.phat * scale))
     c_grid_mid_se = float(np.interp(log_mid, log_ts, curve.stderr * scale))
+    # the grid half is a tail-fit run: its record carries tail-fit's metrics
     metrics = {
+        **run.metrics,
         "constant_grid_anchored": c_anchor,
         "constant_grid_stderr": c_se,
-        "constant_grid_free": run.fit.constant,
-        "exponent_grid": run.fit.exponent,
+        "constant_grid_free": run.metrics["constant_free_fit"],
+        "exponent_grid": run.metrics["exponent"],
         "constant_radial": est.estimate,
         "constant_radial_stderr": est.stderr,
         "constant_radial_ci_low": est.ci_low,
@@ -442,13 +464,14 @@ def _exp_constant_two_route(cfg: ExperimentConfig):
 
 
 def _exp_quotient_moments(cfg: ExperimentConfig):
-    params = GmcParams(gamma=cfg.gamma, r=cfg.r)
-    sampler = RadialSampler(cfg.gamma, cfg.radial_config())
-    curves = {}
-    # Eq-11 cross-check: E[mu_H_0(Q(0,rho))^0.3] by both routes
     rho = cfg.rho
-    mass_rad = radial.radial_bulk_mass(params, rho, cfg.seed, n=cfg.N,
-                                       sampler=sampler)
+    if rho > cfg.r:
+        raise InvalidRho(f"rho={rho} exceeds the cube half-width r={cfg.r}")
+    # one radial draw feeds the eq-11 moment and both window diagnostics
+    draws = RadialSampler(cfg.gamma, cfg.radial_config()).sample_joint(
+        cfg.seed, cfg.N, want_truncated=True)
+    # Eq-11 cross-check: E[mu_H_0(Q(0,rho))^0.3] by both routes
+    mass_rad = radial.localized_masses(cfg.gamma, rho, cfg.seed, draws)[0]
     mom_rad = float((mass_rad ** 0.3).mean())
     se_rad = float((mass_rad ** 0.3).std(ddof=1) / np.sqrt(mass_rad.size))
     # odd segment count puts v = 0 on a midpoint, where the tilt is exact
@@ -471,18 +494,16 @@ def _exp_quotient_moments(cfg: ExperimentConfig):
     rel = abs(mom_rad - mom_grid) / mom_grid
     # quotient-moment window diagnostics (running means)
     p_in, q_in = 2.0 / cfg.gamma ** 2, 1.0
-    est_in = tailest.radial_quotient_moment(
-        p_in * 0.98, q_in, cfg.gamma, min(cfg.N, 30000), cfg.seed + 11,
-        sampler)
+    est_in = tailest.radial_quotient_moment(p_in * 0.98, q_in, cfg.gamma,
+                                            draws)
     p_out = min(2.0 / cfg.gamma ** 2 + q_in / 2.0, 4.0 / cfg.gamma ** 2) * 1.2
-    est_out = tailest.radial_quotient_moment(
-        p_out, q_in, cfg.gamma, min(cfg.N, 30000), cfg.seed + 12, sampler)
+    est_out = tailest.radial_quotient_moment(p_out, q_in, cfg.gamma, draws)
     step = max(1, est_in.running_mean.size // 200)
-    curves["running_mean"] = (
+    curves = {"running_mean": (
         [("inside_window", float(i), float(v), 0.0)
          for i, v in enumerate(est_in.running_mean[::step])]
         + [("outside_window", float(i), float(v), 0.0)
-           for i, v in enumerate(est_out.running_mean[::step])])
+           for i, v in enumerate(est_out.running_mean[::step])])}
     # feasibility witnesses ride along (cheap, parameter-window artifacts)
     feas_ok = True
     for g in (0.5, 1.0, np.sqrt(2.0), 1.8):
@@ -528,7 +549,8 @@ def _exp_perturbed_g(cfg: ExperimentConfig):
 
     pert = kernels.KernelSpec(g=g_const)
     perturbed = _tail_fit_run(cfg, kernel=pert)
-    c0, c1 = exact.c_anchor, perturbed.c_anchor
+    c0 = exact.metrics["constant_anchored"]
+    c1 = perturbed.metrics["constant_anchored"]
     ratio = c1 / c0
     target = float(np.exp((2.0 / cfg.gamma ** 2 - 1.0) * c))
     rel = abs(ratio - target) / target
@@ -541,8 +563,8 @@ def _exp_perturbed_g(cfg: ExperimentConfig):
         "ratio_target": target,
         "relative_gap": float(rel),
         "quadrature_factor_per_length": float(factor_quad),
-        "exponent_exact": exact.fit.exponent,
-        "exponent_perturbed": perturbed.fit.exponent,
+        "exponent_exact": exact.metrics["exponent"],
+        "exponent_perturbed": perturbed.metrics["exponent"],
     }
     curves = {"survival_is": exact.curves["survival_is"],
               "survival_is_perturbed": perturbed.curves["survival_is"]}
@@ -559,14 +581,20 @@ def _exp_locality_gap(cfg: ExperimentConfig):
     v = 0.0
     # calibrate t at tail quantiles of the tilted full-cube mass
     delta = shift_vector(factor, grid, v, params.gamma / 2.0)
-    x = sample_field_batch(factor, cfg.seed + 1, min(cfg.N, 20000))
-    x += delta[:, None]
-    mass = gmc.bulk_mass(x, factor, grid, params, gmc.region_all_bulk(grid))
+
+    def tilted_mass(x):
+        x += delta[:, None]
+        return gmc.bulk_mass(x, factor, grid, params,
+                             gmc.region_all_bulk(grid))
+
+    mass = np.concatenate(map_field_chunks(factor, cfg.seed + 1,
+                                           min(cfg.N, 20000), tilted_mass))
+    quants = (0.5, 0.9, 0.99)
+    gaps = tailest.locality_gap(params, grid, factor, v, rho,
+                                [float(np.quantile(mass, q)) for q in quants],
+                                cfg.N, cfg.seed)
     ratios, rows = [], []
-    for quant in (0.5, 0.9, 0.99):
-        t = float(np.quantile(mass, quant))
-        gap, se, local = tailest.locality_gap(params, grid, factor, v, rho,
-                                              t, cfg.N, cfg.seed)
+    for quant, (_, gap, se, local) in zip(quants, gaps):
         ratio = abs(gap) / local
         ratios.append(ratio)
         rows.append(("gap_ratio", quant, ratio, se / local))

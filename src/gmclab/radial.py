@@ -38,6 +38,9 @@ once per side and reads the suffix sums at every requested cutoff, so I(x)
 at several cutoffs costs one integrand pass; ``RadialSampler.sample_joint``
 reads I(infinity) and, on request, I(M) per draw from that one pass.
 
+Estimators read draws: ``localized_masses`` and the radial estimators of
+``tailest`` take the result of one ``sample_joint`` call made by the caller.
+
 ``sample_joint`` is the only place that cuts draws into chunks: each chunk
 of ``RADIAL_CHUNK`` draws reads four Philox streams of its own (see
 ``RadialSampler``).  Below it, each sampler draws the whole batch it is asked
@@ -51,8 +54,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import betainc
 
-from .cellavg import _gauss_nodes
 from .errors import IndexMismatch, InvalidRho
 from .gmc import sin_power_integral
 from .rng import chunk_sizes, fill_normal32, stream_generator
@@ -245,9 +248,6 @@ class LateralModel:
     def __init__(self, gamma: float, T: float, ds: float, n_theta: int):
         if not (0.0 < gamma < 2.0):
             raise ValueError("gamma must lie in (0, 2)")
-        # E[Z_H] = int (sin theta)^{-gamma^2/2} diverges from sqrt(2) on; this
-        # raises SupercriticalWeight there
-        sin_power_integral(gamma ** 2 / 2.0)
         if T <= 0 or ds <= 0 or n_theta < 2:
             raise ValueError("need T > 0, ds > 0, n_theta >= 2")
         self.gamma = float(gamma)
@@ -274,35 +274,27 @@ class LateralModel:
         self._innov32 = np.sqrt(-np.expm1(-2.0 * k * self.ds)) \
             .astype(np.float32)[:, None]
 
-        p = gamma ** 2 / 2.0
-        self.zh_weights = self._theta_cell_weights(p)  # interior cells only
+        # E[Z_H] = int (sin theta)^{-gamma^2/2} diverges from sqrt(2) on,
+        # where this raises SupercriticalWeight
+        self.zh_weights = self._theta_cell_weights(gamma ** 2 / 2.0)
         self.ez_h = float(self.zh_weights.sum())      # exact E[Z_H(s)]
 
     def _theta_cell_weights(self, p: float) -> np.ndarray:
         """Integrals of (sin theta)^{-p} over each interior theta cell.
 
-        End cells absorb the theta^{-p} singularity with the substitution
-        eta = theta^{1-p}; interior cells use a plain Gauss rule.
+        For theta <= pi/2, u = sin^2 t turns int_0^theta (sin t)^{-p} dt into
+        B/2 I_{sin^2 theta}((1-p)/2, 1/2), with I the regularized incomplete
+        beta function and B = ``sin_power_integral(p)``.  Cells up to pi/2
+        are its differences; the rest mirror them about pi/2, and an odd
+        middle cell takes what remains of B.
         """
-        h = np.pi / self.n_theta
-        gx, gw = _gauss_nodes(16)
-        w = np.empty(self.n_theta)
-        for i in range(self.n_theta):
-            a, b = i * h, (i + 1) * h
-            near_zero = i == 0
-            near_pi = i == self.n_theta - 1
-            if near_zero or near_pi:
-                # map to distance from the nearest ray
-                lo, hi = (a, b) if near_zero else (np.pi - b, np.pi - a)
-                e0, e1 = lo ** (1.0 - p), hi ** (1.0 - p)
-                es = 0.5 * (e0 + e1) + 0.5 * (e1 - e0) * gx
-                th = es ** (1.0 / (1.0 - p))
-                vals = (np.sin(th) / th) ** (-p)
-                w[i] = 0.5 * (e1 - e0) / (1.0 - p) * (gw @ vals)
-            else:
-                th = 0.5 * (a + b) + 0.5 * (b - a) * gx
-                w[i] = 0.5 * (b - a) * (gw @ np.sin(th) ** (-p))
-        return w
+        total = sin_power_integral(p)
+        edges = np.pi / self.n_theta * np.arange(self.n_theta // 2 + 1)
+        below = 0.5 * total * betainc((1.0 - p) / 2.0, 0.5,
+                                      np.sin(edges) ** 2)
+        half = np.diff(below)
+        middle = [total - 2.0 * below[-1]] if self.n_theta % 2 else []
+        return np.concatenate([half, middle, half[::-1]])
 
     def _field(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Y of shape (m, n_s, size) in float32 from (n_theta, n_s, size)
@@ -501,8 +493,7 @@ class RadialSampler:
         return {k: np.concatenate(v) for k, v in out.items() if v}
 
 
-def _localized_masses(gamma: float, rho: float, n_rho: np.ndarray,
-                      draws: dict):
+def localized_masses(gamma: float, rho: float, seed: int, draws: dict):
     """(bulk, boundary) masses of the half-disk and interval of radius rho
     at the origin, by the radial representation:
 
@@ -511,31 +502,18 @@ def _localized_masses(gamma: float, rho: float, n_rho: np.ndarray,
         mu_bdy(I(0, rho)) = rho^{1 - gamma^2/4} e^{gamma N_rho / 2}
                             e^{gamma M / 2} I_bdy(M),
 
-    with ``n_rho`` the draws of N_rho ~ Normal(0, -2 ln rho), independent of
-    the ``sample_joint(..., want_truncated=True)`` ``draws``.
+    one pair per draw of ``sample_joint(..., want_truncated=True)``.  N_rho
+    ~ Normal(0, -2 ln rho) needs 0 < rho < 1; it takes one normal per draw
+    from Philox stream ``(seed, 2**40)``, which no chunk of ``sample_joint``
+    reads.
     """
+    if not (0.0 < rho < 1.0):
+        raise InvalidRho(f"need rho in (0, 1) so Var N_rho = -2 ln rho > 0; "
+                         f"got rho={rho}")
+    rng = stream_generator(seed, 2 ** 40)
+    n_rho = np.sqrt(-2.0 * np.log(rho)) * rng.standard_normal(draws["M"].size)
     bulk = rho ** (2.0 - gamma * gamma / 2.0) * np.exp(gamma * n_rho) \
         * np.exp(gamma * draws["M"]) * draws["IH_M"]
     bdy = rho ** (1.0 - gamma * gamma / 4.0) * np.exp(0.5 * gamma * n_rho) \
         * np.exp(0.5 * gamma * draws["M"]) * draws["Ibdy_M"]
     return bulk, bdy
-
-
-def radial_bulk_mass(params, rho: float, seed: int, sampler: RadialSampler,
-                     n: int) -> np.ndarray:
-    """Localized bulk mass mu_H(Q(0, rho)) at the origin by the radial
-    representation (see ``_localized_masses``).
-
-    ``params`` carries gamma and the cube half-width r (needs rho <= r < 1 on
-    the rho side); ``sampler`` draws (M, I_H(M)) at the same gamma.  Returns
-    n draws.
-    """
-    if not (0.0 < rho < 1.0):
-        raise InvalidRho(f"need rho in (0, 1) so Var N_rho = -2 ln rho > 0; "
-                         f"got rho={rho}")
-    if rho > params.r:
-        raise InvalidRho(f"rho={rho} exceeds the cube half-width r={params.r}")
-    draws = sampler.sample_joint(seed, n, want_truncated=True)
-    rng = stream_generator(seed, 2 ** 32)  # N_rho stream, disjoint from chunks
-    n_rho = np.sqrt(-2.0 * np.log(rho)) * rng.standard_normal(n)
-    return _localized_masses(params.gamma, rho, n_rho, draws)[0]

@@ -22,6 +22,9 @@ independent estimates of the constant live here:
    a Monte Carlo mean with finite expectation but possibly infinite variance,
    reported with bootstrap intervals and a trimmed-mean companion.
 
+The radial estimators (this constant, its finite-t curve and the quotient
+moments) read draws: the caller's one ``RadialSampler.sample_joint`` result.
+
 Quotient moments, the locality-gap diagnostic, the rho-scaling exponent
 zeta_tilde(p; q) = (2 - gamma^2/2)(p - q/2) - gamma^2 (p - q/2)^2, and the
 feasibility systems for the proof-parameter windows round out the module.
@@ -41,7 +44,7 @@ from .errors import (ConfigInvalid, DegenerateWindow, EmptySample,
 from .fieldsim import (CovFactor, Grid, build_cov, build_grid,
                        map_field_chunks, shift_vector)
 from .gmc import GmcParams
-from .radial import RadialSampler, _localized_masses
+from .radial import localized_masses
 from .rng import chunk_sizes, stream_generator
 
 # radial-constant bootstrap resamples (drawn and averaged BOOT_ROWS at a
@@ -322,7 +325,8 @@ def estimate_constant_radial(params: GmcParams, N: int, seed: int,
 def radial_constant_curve(params: GmcParams, ts, seed: int, draws: dict):
     """Finite-t constant curve c(t) = 2r t^{2/g^2} E[1{mass > t}/bdy mass]
     from the radial representation of the measures localized to the
-    half-disk of radius rho = r.
+    half-disk of radius rho = r (``radial.localized_masses``, which draws
+    N_rho from ``seed`` and needs 0 < r < 1).
 
     ``draws`` must come from ``sample_joint(..., want_truncated=True)``.  The
     curve rises toward the asymptotic tail constant as t grows; evaluated at
@@ -330,20 +334,14 @@ def radial_constant_curve(params: GmcParams, ts, seed: int, draws: dict):
     scales.  Returns rows of (t, c(t), stderr).
     """
     g = params.gamma
-    rho = params.r
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"finite-t curve needs r in (0, 1), got r={rho}")
-    n = draws["M"].size
-    rng = stream_generator(seed, 2 ** 40)
-    n_rho = np.sqrt(-2.0 * np.log(rho)) * rng.standard_normal(n)
-    num, den = _localized_masses(g, rho, n_rho, draws)
+    num, den = localized_masses(g, params.r, seed, draws)
     inv = 1.0 / den
     rows = []
     for t in np.atleast_1d(np.asarray(ts, dtype=float)):
         vals = inv * (num > t)
         scale = 2.0 * params.r * t ** (2.0 / g ** 2)
         rows.append((float(t), scale * float(vals.mean()),
-                     scale * float(vals.std(ddof=1) / np.sqrt(n))))
+                     scale * float(vals.std(ddof=1) / np.sqrt(num.size))))
     return rows
 
 
@@ -371,14 +369,13 @@ class QuotientMomentEstimate:
     running_mean: np.ndarray
 
 
-def radial_quotient_moment(p: float, q: float, gamma: float, N: int,
-                           seed: int,
-                           sampler: RadialSampler) -> QuotientMomentEstimate:
-    """MC estimate of E[IH(inf)^p / Ibdy(inf)^q] from N ``sampler`` draws,
-    with the running mean over the draws as the divergence diagnostic."""
+def radial_quotient_moment(p: float, q: float, gamma: float,
+                           draws: dict) -> QuotientMomentEstimate:
+    """MC estimate of E[IH(inf)^p / Ibdy(inf)^q] over the ``sample_joint``
+    ``draws``, with the running mean over the draws as the divergence
+    diagnostic."""
     if p < 0 or q < 0:
         raise ValueError("p, q must be nonnegative")
-    draws = sampler.sample_joint(seed, N, want_truncated=False)
     vals = draws["IH_inf"] ** p / draws["Ibdy_inf"] ** q
     return QuotientMomentEstimate(
         p=p, q=q, estimate=float(vals.mean()),
@@ -431,14 +428,15 @@ def quotient_rho_scan(gamma: float, p: float, q: float, rhos: Sequence[float],
 # --- locality gap ------------------------------------------------------------------
 
 def locality_gap(params: GmcParams, grid: Grid, factor: CovFactor, v: float,
-                 rho: float, t: float, N: int, seed: int):
+                 rho: float, ts, N: int, seed: int):
     """Paired MC estimate of the full-vs-local localized-tail difference.
 
-    gap = E[1{mu^H_v(Q_r) > t}/mu^bdy_v(I_r)]
-        - E[1{mu^H_v(Q(v,rho)) > t}/mu^bdy_v(I(v,rho))]
+    gap(t) = E[1{mu^H_v(Q_r) > t}/mu^bdy_v(I_r)]
+           - E[1{mu^H_v(Q(v,rho)) > t}/mu^bdy_v(I(v,rho))]
 
-    under the field tilted at v; returns (gap, gap_stderr, local_term).
-    The |gap| / local-term ratio should fall as t climbs the tail.
+    under the field tilted at v, at every t of ``ts`` from one pass over N
+    fields; returns one row (t, gap, gap_stderr, local_term) per t.  The
+    |gap| / local-term ratio should fall as t climbs the tail.
     """
     if not 2.0 * rho < min(grid.r - v, v + grid.r):
         raise GeometryViolation(
@@ -449,21 +447,23 @@ def locality_gap(params: GmcParams, grid: Grid, factor: CovFactor, v: float,
     loc_b = gmc.region_halfdisk_bulk(grid, v, rho)
     loc_d = gmc.region_interval_bdy(grid, v - rho, v + rho)
 
-    def terms(x):
+    def masses(x):
         x += delta[:, None]
-        full = gmc.bulk_mass(x, factor, grid, params, all_b)
-        full_d = gmc.bdy_mass(x, factor, grid, params, all_d)
-        near = gmc.bulk_mass(x, factor, grid, params, loc_b)
-        near_d = gmc.bdy_mass(x, factor, grid, params, loc_d)
-        return (full > t) / full_d, (near > t) / near_d
+        return (gmc.bulk_mass(x, factor, grid, params, all_b),
+                gmc.bdy_mass(x, factor, grid, params, all_d),
+                gmc.bulk_mass(x, factor, grid, params, loc_b),
+                gmc.bdy_mass(x, factor, grid, params, loc_d))
 
-    parts = map_field_chunks(factor, seed, N, terms)
-    a = np.concatenate([pa for pa, _ in parts])
-    b = np.concatenate([pb for _, pb in parts])
-    diff = a - b
-    gap = float(diff.mean())
-    se = float(diff.std(ddof=1) / np.sqrt(N))
-    return gap, se, float(b.mean())
+    full, full_d, near, near_d = (
+        np.concatenate(parts)
+        for parts in zip(*map_field_chunks(factor, seed, N, masses)))
+    rows = []
+    for t in np.atleast_1d(np.asarray(ts, dtype=float)):
+        b = (near > t) / near_d
+        diff = (full > t) / full_d - b
+        rows.append((float(t), float(diff.mean()),
+                     float(diff.std(ddof=1) / np.sqrt(N)), float(b.mean())))
+    return rows
 
 
 # --- perturbed-kernel factor ---------------------------------------------------------

@@ -1,5 +1,5 @@
 """Every public top-level function and class of gmclab has a caller outside
-the tests.
+the tests, and no program file imports another module's private names.
 
 Public names that only tests call are dead weight: they must be kept
 working and documented, yet no experiment, demo or benchmark depends on
@@ -7,6 +7,10 @@ them.  A name counts as used when the package, ``perfbench/`` or ``demos/``
 refers to it outside its own definition, as a name, an attribute, an import
 alias or a string constant (``perfbench/spans.py`` rebinds functions by
 attribute name).
+
+An underscore name is private to its module.  A package module, demo or
+benchmark file that imports one from another gmclab module depends on what
+that module is free to change; such a name should be made public instead.
 """
 
 import ast
@@ -65,3 +69,44 @@ def test_every_public_definition_has_a_non_test_caller():
             unused.append(f"{os.path.relpath(path, ROOT)}:{node.lineno} "
                           f"{node.name}")
     assert not unused, "public names no program code uses: " + ", ".join(unused)
+
+
+def _imported_module(node):
+    """Dotted gmclab module an ``ImportFrom`` reads, or None for others.
+
+    Relative imports occur only in the flat ``gmclab`` package, so each is
+    ``gmclab`` or one of its modules.
+    """
+    if node.level:
+        return ".".join(["gmclab"] + ([node.module] if node.module else []))
+    if node.module == "gmclab" or node.module.startswith("gmclab."):
+        return node.module
+    return None
+
+
+def _own_module(path):
+    """Dotted name of a package file; None for demos and benchmarks."""
+    if os.path.dirname(path) != PACKAGE:
+        return None
+    stem = os.path.splitext(os.path.basename(path))[0]
+    return "gmclab" if stem == "__init__" else f"gmclab.{stem}"
+
+
+def test_no_private_names_across_module_lines():
+    crossings = []
+    for directory in CALLER_DIRS:
+        for path, tree in _sources(directory):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                module = _imported_module(node)
+                if module is None or module == _own_module(path):
+                    continue
+                crossings += [
+                    f"{os.path.relpath(path, ROOT)}:{node.lineno} "
+                    f"{module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                    and not alias.name.startswith("__")]
+    assert not crossings, ("private names imported from another module: "
+                           + ", ".join(crossings))

@@ -11,8 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from gmclab import expcli
+from gmclab import expcli, radial
 from gmclab.errors import ConfigInvalid
+
+# a toy grid and radial config, small enough for unit tests
+TOY = dict(gamma=1.0, n_bulk=4, n_bdy=8, N=2000, seed=3, radial_n_theta=8,
+           radial_T=4.0)
 
 
 def test_config_roundtrip():
@@ -170,6 +174,37 @@ def test_tail_fit_records_when_every_stability_window_is_skipped(tmp_path):
     assert metrics["plateau_contains_target"] is False
     assert "stability_min" not in metrics and "stability_max" not in metrics
     assert written["passed"] is False
+
+
+def test_two_route_record_holds_the_tail_fit_metrics(tmp_path):
+    """constant-two-route runs tail-fit's grid half on identical inputs and
+    reports its metrics with the same helper, so its record agrees with the
+    tail-fit record exactly on every tail-fit metric; criterion 06 reads its
+    gamma = 1 exponent and plateau flag from the constant-two-route run."""
+    fit, two = (expcli.run(expcli.ExperimentConfig(
+        experiment=name, output_dir=str(tmp_path), **TOY)).metrics
+        for name in ("tail-fit", "constant-two-route"))
+    assert {"exponent", "plateau_contains_target"} <= fit.keys()
+    assert {key: two[key] for key in fit} == fit
+
+
+def test_quotient_moments_draws_the_radial_sample_once(tmp_path,
+                                                        monkeypatch):
+    """One ``sample_joint`` call feeds the eq-11 moment and both
+    window diagnostics."""
+    calls = []
+    draw = radial.RadialSampler.sample_joint
+
+    def counted(self, seed, n, want_truncated=True):
+        calls.append((seed, n, want_truncated))
+        return draw(self, seed, n, want_truncated)
+
+    monkeypatch.setattr(radial.RadialSampler, "sample_joint", counted)
+    rec = expcli.run(expcli.ExperimentConfig(
+        experiment="quotient-moments", output_dir=str(tmp_path),
+        **{**TOY, "N": 500}))
+    assert calls == [(3, 500, True)]
+    assert rec.metrics["inside_window_finite_predicted"]
 
 
 def test_metrics_must_be_finite():

@@ -8,11 +8,11 @@ import sys
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.integrate import trapezoid
+from scipy.integrate import quad, trapezoid
 
-from gmclab import radial
+from gmclab import expcli, radial
 from gmclab.errors import IndexMismatch, InvalidRho, SupercriticalWeight
-from gmclab.gmc import GmcParams, sin_power_integral
+from gmclab.gmc import sin_power_integral
 from gmclab.kernels import lateral_cov
 from gmclab.radial import DriftSpec, LateralModel, RadialConfig, RadialSampler
 from gmclab.rng import stream_generator
@@ -262,6 +262,24 @@ def test_lateral_sample_ignores_blas_threads():
     assert len(digests) == 1
 
 
+@pytest.mark.parametrize("n_theta", [8, 32, 64, 128])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.2, 1.3])
+def test_theta_cell_weights(gamma, n_theta):
+    """The incomplete-beta cell integrals of (sin theta)^{-gamma^2/2} sum to
+    ``sin_power_integral`` and match adaptive quadrature cell by cell; the
+    end cells' theta^{-p} singularity goes into quad's algebraic weight."""
+    p = gamma ** 2 / 2.0
+    w = LateralModel(gamma, 1.0, 0.5, n_theta).zh_weights
+    total = sin_power_integral(p)
+    assert abs(w.sum() - total) <= 1e-14 * total
+    h = np.pi / n_theta
+    end = quad(lambda t: np.sinc(t / np.pi) ** -p, 0.0, h, weight="alg",
+               wvar=(-p, 0.0), epsabs=0.0, epsrel=1e-13)[0]
+    inner = [quad(lambda t: np.sin(t) ** -p, i * h, (i + 1) * h,
+                  epsabs=0.0, epsrel=1e-13)[0] for i in range(1, n_theta - 1)]
+    np.testing.assert_allclose(w, [end, *inner, end], rtol=1e-12, atol=0.0)
+
+
 def test_lateral_supercritical():
     with pytest.raises(SupercriticalWeight):
         LateralModel(gamma=1.5, T=2.0, ds=0.25, n_theta=8)
@@ -348,26 +366,41 @@ def test_doubling_T_within_bound():
     assert gap <= 3 * se + bound
 
 
-def test_radial_bulk_mass_contract():
-    params = GmcParams(1.0, 0.5)
+def test_localized_masses_contract(tmp_path):
+    """``localized_masses`` needs 0 < rho < 1 and reads one draw: both
+    masses share N_rho, one normal per draw from stream (seed, 2**40).  A
+    rho above the cube half-width r is refused by the quotient-moments
+    experiment, which owns r."""
     sampler = RadialSampler(1.0, RadialConfig(T=8.0, ds=0.1, n_theta=8))
+    draws = sampler.sample_joint(4, 3, want_truncated=True)
     with pytest.raises(InvalidRho):
-        radial.radial_bulk_mass(params, 1.5, 1, sampler, n=1)
-    with pytest.raises(InvalidRho):
-        radial.radial_bulk_mass(params, 0.7, 1, sampler, n=1)  # above r
-    a = radial.radial_bulk_mass(params, 0.25, 4, sampler, n=1)
-    b = radial.radial_bulk_mass(params, 0.25, 4, sampler, n=1)
-    assert a.shape == (1,) and a == b and a > 0
+        radial.localized_masses(1.0, 1.5, 4, draws)
+    with pytest.raises(InvalidRho):  # above r
+        expcli.run(expcli.ExperimentConfig(
+            experiment="quotient-moments", r=0.5, rho=0.7, N=1,
+            output_dir=str(tmp_path)))
+    rho = 0.25
+    bulk, bdy = radial.localized_masses(1.0, rho, 4, draws)
+    again = radial.localized_masses(1.0, rho, 4, draws)
+    assert np.array_equal(bulk, again[0]) and np.array_equal(bdy, again[1])
+    assert bulk.shape == bdy.shape == (3,) and np.all(bulk > 0)
+    n_rho = np.sqrt(-2.0 * np.log(rho)) \
+        * stream_generator(4, 2 ** 40).standard_normal(3)
+    m = draws["M"]
+    assert np.allclose(bulk, rho ** 1.5 * np.exp(n_rho + m) * draws["IH_M"],
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(bdy, rho ** 0.75 * np.exp(0.5 * (n_rho + m))
+                       * draws["Ibdy_M"], rtol=1e-14, atol=0.0)
 
 
 def test_radial_gamma_to_zero_area():
     """gamma -> 0: the localized half-disk mass tends to its area pi rho^2/2
     (all weights tend to one and the chaos to Lebesgue; the spec example's
     pi rho^2 misses the 1/2 from the one-sided e^{-2s} integral)."""
-    params = GmcParams(1e-4, 0.5)
     sampler = RadialSampler(1e-4, RadialConfig(T=10.0, ds=0.01, n_theta=16))
     rho = 0.25
-    vals = radial.radial_bulk_mass(params, rho, 8, sampler, n=64)
+    draws = sampler.sample_joint(8, 64, want_truncated=True)
+    vals = radial.localized_masses(1e-4, rho, 8, draws)[0]
     # rectangle-rule cutoff bias is +ds relative; allow 2.5%
     assert np.allclose(vals, np.pi * rho ** 2 / 2.0, rtol=2.5e-2)
 

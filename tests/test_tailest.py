@@ -227,28 +227,38 @@ def test_quotient_window_predictions():
 
 def test_radial_quotient_moment():
     sampler = RadialSampler(1.0, RadialConfig(T=8.0, ds=0.1, n_theta=8))
-    est = tailest.radial_quotient_moment(1.0, 1.0, 1.0, 2000, 5, sampler)
+    draws = sampler.sample_joint(5, 2000, want_truncated=False)
+    est = tailest.radial_quotient_moment(1.0, 1.0, 1.0, draws)
     assert est.finite_predicted and est.estimate > 0
-    assert est.running_mean.size == 2000
+    assert est.n == 2000 and est.running_mean.size == 2000
     assert est.running_mean[-1] == pytest.approx(est.estimate, rel=1e-12)
+    # the estimate reads the draws and draws nothing itself
+    assert est.estimate == float(np.mean(draws["IH_inf"] / draws["Ibdy_inf"]))
     with pytest.raises(ValueError):
-        tailest.radial_quotient_moment(-1.0, 1.0, 1.0, 10, 5, sampler)
+        tailest.radial_quotient_moment(-1.0, 1.0, 1.0, draws)
 
 
 def test_locality_gap_contract(grid_setup):
     grid, factor, params = grid_setup
     v = float(grid.bdy_centers[grid.n_bdy // 2])
+    rho = grid.r / 4
     with pytest.raises(GeometryViolation):
-        tailest.locality_gap(params, grid, factor, v, 0.3, 1.0, 100, 1)
+        tailest.locality_gap(params, grid, factor, v, 0.3, [1.0], 100, 1)
     # t = 0: both indicators are one, so the gap is the reciprocal-mass
     # difference, nonpositive by region monotonicity
-    gap, se, local = tailest.locality_gap(params, grid, factor, v,
-                                          grid.r / 4, 0.0, 20_000, 3)
-    assert gap <= 0
+    [(t, gap, se, local)] = tailest.locality_gap(params, grid, factor, v,
+                                                 rho, [0.0], 20_000, 3)
+    assert t == 0.0 and gap <= 0
     # t beyond every sample: both terms vanish
-    gap_hi, _, local_hi = tailest.locality_gap(params, grid, factor, v,
-                                               grid.r / 4, 1e12, 5000, 5)
+    [(_, gap_hi, _, local_hi)] = tailest.locality_gap(
+        params, grid, factor, v, rho, [1e12], 5000, 5)
     assert gap_hi == 0.0 and local_hi == 0.0
+    # one field pass serves every t: the rows of one three-t call are the
+    # one-t calls' rows, bit for bit
+    ts = [2.0, 0.5, 1.0]
+    rows = tailest.locality_gap(params, grid, factor, v, rho, ts, 3000, 7)
+    assert rows == [tailest.locality_gap(params, grid, factor, v, rho, [t],
+                                         3000, 7)[0] for t in ts]
 
 
 def test_feasible_params_systems():
