@@ -11,9 +11,13 @@ Four desk-scale looks at the finer structure:
   factor, so the fitted slope is clean;
 - quotient moments inside the admissible window p < min(2/g^2 + q/2, 4/g^2)
   stabilize as N grows, while outside the window the running mean keeps
-  jumping (a diagnostic, not a proof of divergence);
+  jumping (a diagnostic, not a proof of divergence).  The inside p is
+  taken with 2p inside the window of the square moment too, so its running
+  mean has finite variance;
 - the localized-tail mass concentrates near its singularity: the full-cube
-  vs local-ball gap shrinks relative to the local term as t climbs;
+  vs local-ball gap shrinks relative to the local term as t climbs.  One
+  pass of the tilted field (``tailest.tilted_masses``) gives both the
+  masses and the t values, read at quantiles of the full-cube mass;
 - both proof-parameter systems admit strict witnesses throughout gamma in
   (0, 2).
 """
@@ -37,27 +41,25 @@ print(f"  fitted slope {slope:.3f} ± {se:.3f}   "
 
 sampler = RadialSampler(gamma, RadialConfig(T=12.0, ds=0.1, n_theta=16))
 draws = sampler.sample_joint(5, 20_000, want_truncated=False)
-inside = tailest.radial_quotient_moment(1.9, 1.0, gamma, draws)
+p_in = 0.98 * min(2 / gamma ** 2 + 1, 4 / gamma ** 2) / 2
+inside = tailest.radial_quotient_moment(p_in, 1.0, gamma, draws)
 outside = tailest.radial_quotient_moment(3.0, 1.0, gamma, draws)
 print("\nquotient-moment window diagnostic (running means at N/4, N/2, N):")
-for est, tag in ((inside, "p=1.9 (inside)"), (outside, "p=3.0 (outside)")):
+for est, tag in ((inside, f"p={p_in:.2f} (inside)"),
+                 (outside, "p=3.0 (outside)")):
     rm = est.running_mean
     print(f"  {tag:16s} finite_predicted={est.finite_predicted}  "
           f"{rm[len(rm) // 4]:10.3f} {rm[len(rm) // 2]:10.3f} {rm[-1]:10.3f}")
 
 grid = fieldsim.build_grid(0.5, 16, 33)  # odd segment count: v = 0 is a midpoint
 factor = fieldsim.build_cov(grid)
-params = GmcParams(gamma, 0.5)
-x = fieldsim.sample_field_batch(factor, 1, 20_000)
-x += fieldsim.shift_vector(factor, grid, 0.0, gamma / 2)[:, None]
-from gmclab import gmc
-mass = gmc.bulk_mass(x, factor, grid, params, gmc.region_all_bulk(grid))
 print("\nlocality of the tilted tail (|gap| / local term):")
 quants = (0.5, 0.9, 0.99)
-gaps = tailest.locality_gap(params, grid, factor, 0.0, 0.125,
-                            np.quantile(mass, quants), 50_000, 9)
+gaps = tailest.locality_gap(GmcParams(gamma, 0.5), grid, factor, 0.0, 0.125,
+                            quants, 50_000, 9)
 for q, (t, gap, gse, local) in zip(quants, gaps):
-    print(f"  t at q{int(100 * q):02d}: ratio = {abs(gap) / local:.3f}")
+    print(f"  t = {t:7.3f} at q{int(100 * q):02d}: "
+          f"ratio = {abs(gap) / local:.3f}")
 
 print("\nfeasibility witnesses:")
 for g in (0.5, 1.0, np.sqrt(2.0), 1.8):

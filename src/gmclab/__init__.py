@@ -13,7 +13,8 @@ Subpackage map:
 - ``radial``   maximum law, conditioned paths, lateral densities and the
   radial-route integrals
 - ``tailest``  survival curves, log-log WLS tail fits, the
-  boundary-localization importance sampler, the radial constant, quotient
+  boundary-localization importance sampler, the grid masses localized at a
+  boundary point (``tilted_masses``), the radial constant, quotient
   moments, feasibility systems
 - ``expcli``   experiment runner (configs, JSON records, CSV plot data, CLI)
 - ``rng``      counter-based Philox streams and the worker count

@@ -434,10 +434,6 @@ def _exp_constant_two_route(cfg: ExperimentConfig):
     # the grid half is a tail-fit run: its record carries tail-fit's metrics
     metrics = {
         **run.metrics,
-        "constant_grid_anchored": c_anchor,
-        "constant_grid_stderr": c_se,
-        "constant_grid_free": run.metrics["constant_free_fit"],
-        "exponent_grid": run.metrics["exponent"],
         "constant_radial": est.estimate,
         "constant_radial_stderr": est.stderr,
         "constant_radial_ci_low": est.ci_low,
@@ -477,25 +473,19 @@ def _exp_quotient_moments(cfg: ExperimentConfig):
     # odd segment count puts v = 0 on a midpoint, where the tilt is exact
     n_bulk = min(int(np.sqrt(MAX_DENSE_NODES - (cfg.n_bdy | 1))), 48)
     grid = build_grid(rho, n_bulk, max(cfg.n_bdy, n_bulk) | 1)
-    factor = build_cov(grid)
-    pars2 = GmcParams(gamma=cfg.gamma, r=rho)
     n_grid = min(cfg.N, 30000)
-    cells = gmc.region_halfdisk_bulk(grid, 0.0, rho)
-    delta = shift_vector(factor, grid, 0.0, cfg.gamma / 2.0)
-
-    def localized_mass(x):
-        x += delta[:, None]
-        return gmc.bulk_mass(x, factor, grid, pars2, cells)
-
-    loc = np.concatenate(map_field_chunks(factor, cfg.seed + 5, n_grid,
-                                          localized_mass))
+    (loc,), _ = tailest.tilted_masses(
+        GmcParams(gamma=cfg.gamma, r=rho), grid, build_cov(grid), 0.0,
+        [gmc.region_halfdisk_bulk(grid, 0.0, rho)], [], n_grid, cfg.seed + 5)
     mom_grid = float((loc ** 0.3).mean())
     se_grid = float((loc ** 0.3).std(ddof=1) / np.sqrt(n_grid))
     rel = abs(mom_rad - mom_grid) / mom_grid
-    # quotient-moment window diagnostics (running means)
-    p_in, q_in = 2.0 / cfg.gamma ** 2, 1.0
-    est_in = tailest.radial_quotient_moment(p_in * 0.98, q_in, cfg.gamma,
-                                            draws)
+    # quotient-moment window diagnostics (running means); 2 p_in lies inside
+    # the window of E[IH^{2p} / Ibdy^{2q}], so the inside estimate has finite
+    # variance and a meaningful stderr
+    q_in = 1.0
+    p_in = 0.98 * min(2.0 / cfg.gamma ** 2 + q_in, 4.0 / cfg.gamma ** 2) / 2.0
+    est_in = tailest.radial_quotient_moment(p_in, q_in, cfg.gamma, draws)
     p_out = min(2.0 / cfg.gamma ** 2 + q_in / 2.0, 4.0 / cfg.gamma ** 2) * 1.2
     est_out = tailest.radial_quotient_moment(p_out, q_in, cfg.gamma, draws)
     step = max(1, est_in.running_mean.size // 200)
@@ -516,7 +506,9 @@ def _exp_quotient_moments(cfg: ExperimentConfig):
         "eq11_moment_grid": mom_grid,
         "eq11_moment_grid_stderr": se_grid,
         "eq11_relative_gap": float(rel),
+        "inside_window_p": p_in,
         "inside_window_estimate": est_in.estimate,
+        "inside_window_estimate_stderr": est_in.stderr,
         "inside_window_finite_predicted": est_in.finite_predicted,
         "outside_window_finite_predicted": est_out.finite_predicted,
         "outside_window_estimate_divergent_diag": est_out.estimate,
@@ -577,21 +569,8 @@ def _exp_locality_gap(cfg: ExperimentConfig):
     grid = build_grid(cfg.r, cfg.n_bulk, cfg.n_bdy | 1)
     factor = build_cov(grid)
     params = GmcParams(gamma=cfg.gamma, r=cfg.r)
-    rho = cfg.r / 4.0
-    v = 0.0
-    # calibrate t at tail quantiles of the tilted full-cube mass
-    delta = shift_vector(factor, grid, v, params.gamma / 2.0)
-
-    def tilted_mass(x):
-        x += delta[:, None]
-        return gmc.bulk_mass(x, factor, grid, params,
-                             gmc.region_all_bulk(grid))
-
-    mass = np.concatenate(map_field_chunks(factor, cfg.seed + 1,
-                                           min(cfg.N, 20000), tilted_mass))
     quants = (0.5, 0.9, 0.99)
-    gaps = tailest.locality_gap(params, grid, factor, v, rho,
-                                [float(np.quantile(mass, q)) for q in quants],
+    gaps = tailest.locality_gap(params, grid, factor, 0.0, cfg.r / 4.0, quants,
                                 cfg.N, cfg.seed)
     ratios, rows = [], []
     for quant, (_, gap, se, local) in zip(quants, gaps):

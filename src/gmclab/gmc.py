@@ -19,6 +19,8 @@ the Neumann kernel, so the tilt multiplies each bulk weight w_i by
 its cell-averaged self-covariance.  Localized masses are therefore finite
 wherever the bulk weights are: bulk cell weights need gamma^2/2 < 1, i.e.
 gamma < sqrt(2), and all desk-scale runs use gamma <= 1.2.
+``tailest.tilted_masses`` is where grid masses localized at v are made: it
+streams the tilted fields and reads the masses of any set of regions.
 """
 
 from __future__ import annotations

@@ -172,20 +172,17 @@ def _gl_composite(n_nodes: int, lo: float, hi: float, panel: int = 16):
     return nodes, weights
 
 
-def _neumann_angle_matrix(s: float, t: float, th1: np.ndarray, th2: np.ndarray):
-    r1, r2 = np.exp(-s), np.exp(-t)
-    c_minus = np.cos(th1[:, None] - th2[None, :])
-    c_plus = np.cos(th1[:, None] + th2[None, :])
-    d1sq = r1 * r1 + r2 * r2 - 2 * r1 * r2 * c_minus
-    d2sq = r1 * r1 + r2 * r2 - 2 * r1 * r2 * c_plus
-    return -0.5 * np.log(d1sq) - 0.5 * np.log(d2sq)
+def _semicircle_points(s: float, theta: np.ndarray) -> np.ndarray:
+    """The points e^{-s} (cos theta, sin theta) as an (n, 2) array."""
+    return np.exp(-s) * np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 def _quadrature_cov_once(s: float, t: float, n_nodes: int) -> float:
     if s != t:
         th1, w1 = _gl_composite(n_nodes, 0.0, np.pi)
         th2, w2 = _gl_composite(n_nodes, 0.0, np.pi)
-        vals = _neumann_angle_matrix(s, t, th1, th2)
+        vals = pairwise(KernelSpec(), _semicircle_points(s, th1),
+                        _semicircle_points(t, th2))
         return float(w1 @ vals @ w2) / np.pi ** 2
 
     # Equal radii: the integrand has a log singularity along theta = theta'.
@@ -196,7 +193,8 @@ def _quadrature_cov_once(s: float, t: float, n_nodes: int) -> float:
     h = np.pi / n
     th1 = (np.arange(n) + 0.5) * h
     th2 = (np.arange(2 * n) + 0.5) * (h / 2.0)
-    vals = _neumann_angle_matrix(s, t, th1, th2)
+    vals = pairwise(KernelSpec(), _semicircle_points(s, th1),
+                    _semicircle_points(t, th2))
     model = -np.log(np.abs(th1[:, None] - th2[None, :]))
     rule = np.sum(vals - model) * h * (h / 2.0)
     exact_model = np.pi ** 2 * (SEGMENT_LOG_CONST - np.log(np.pi))

@@ -25,7 +25,12 @@ independent estimates of the constant live here:
 The radial estimators (this constant, its finite-t curve and the quotient
 moments) read draws: the caller's one ``RadialSampler.sample_joint`` result.
 
-Quotient moments, the locality-gap diagnostic, the rho-scaling exponent
+Grid masses localized at a boundary point v come from ``tilted_masses``:
+one streamed pass of the fields tilted toward v gives the masses of every
+requested region.  The rho-scan of the localized quotient, the locality-gap
+diagnostic and quotient-moments' grid half read them.
+
+Quotient moments, the rho-scaling exponent
 zeta_tilde(p; q) = (2 - gamma^2/2)(p - q/2) - gamma^2 (p - q/2)^2, and the
 feasibility systems for the proof-parameter windows round out the module.
 """
@@ -345,6 +350,33 @@ def radial_constant_curve(params: GmcParams, ts, seed: int, draws: dict):
     return rows
 
 
+# --- measures localized at a boundary point ---------------------------------------
+
+def tilted_masses(params: GmcParams, grid: Grid, factor: CovFactor, v: float,
+                  bulk_regions, bdy_regions, N: int, seed: int):
+    """Masses of N fields tilted toward the boundary midpoint v.
+
+    The tilt is the exact discrete Girsanov drift s = shift_vector(factor,
+    grid, v, gamma/2), so these are the masses localized at v (see ``gmc``).
+    Fields are streamed in chunks from ``seed``, each tilted in place.
+    Returns (bulk, bdy): one (N,) array of ``gmc.bulk_mass`` per region of
+    ``bulk_regions`` and of ``gmc.bdy_mass`` per region of ``bdy_regions``,
+    all from the same N fields.
+    """
+    delta = shift_vector(factor, grid, v, params.gamma / 2.0)[:, None]
+
+    def masses(x):
+        x += delta
+        return ([gmc.bulk_mass(x, factor, grid, params, c)
+                 for c in bulk_regions],
+                [gmc.bdy_mass(x, factor, grid, params, s)
+                 for s in bdy_regions])
+
+    bulk, bdy = zip(*map_field_chunks(factor, seed, N, masses))
+    return ([np.concatenate(m) for m in zip(*bulk)],
+            [np.concatenate(m) for m in zip(*bdy)])
+
+
 # --- quotient moments -------------------------------------------------------------
 
 def zeta_tilde(p: float, q: float, gamma: float) -> float:
@@ -391,8 +423,8 @@ def quotient_rho_scan(gamma: float, p: float, q: float, rhos: Sequence[float],
 
     At each rho the quotient is E[mu^H_0(A)^p / mu^bdy_0(I)^q], with A and I
     the half-disk and interval of radius rho at v = 0 and the measures those
-    of the field tilted toward v = 0 (see ``gmc``).  The tilt is the exact
-    Girsanov drift only at a segment midpoint, so the segment count
+    of the field tilted toward v = 0 (``tilted_masses``).  The tilt is the
+    exact Girsanov drift only at a segment midpoint, so the segment count
     ``RHO_SCAN_N_BDY`` is odd.  Each rho runs on its own geometrically
     similar grid (r = R_OVER_RHO rho, fixed node counts), so the exact scale
     invariance of the kernel makes discretization bias a common factor and
@@ -406,19 +438,11 @@ def quotient_rho_scan(gamma: float, p: float, q: float, rhos: Sequence[float],
     rows = []
     for i, rho in enumerate(rhos):
         grid = build_grid(R_OVER_RHO * rho, RHO_SCAN_N_BULK, RHO_SCAN_N_BDY)
-        factor = build_cov(grid)
-        params = GmcParams(gamma=gamma, r=R_OVER_RHO * rho)
-        delta = shift_vector(factor, grid, 0.0, gamma / 2.0)
-        cells = gmc.region_halfdisk_bulk(grid, 0.0, rho)
-        segs = gmc.region_interval_bdy(grid, -rho, rho)
-
-        def quotient(x):
-            x += delta[:, None]
-            num = gmc.bulk_mass(x, factor, grid, params, cells)
-            den = gmc.bdy_mass(x, factor, grid, params, segs)
-            return num ** p / den ** q
-
-        vals = np.concatenate(map_field_chunks(factor, seed + i, N, quotient))
+        (num,), (den,) = tilted_masses(
+            GmcParams(gamma=gamma, r=R_OVER_RHO * rho), grid, build_cov(grid),
+            0.0, [gmc.region_halfdisk_bulk(grid, 0.0, rho)],
+            [gmc.region_interval_bdy(grid, -rho, rho)], N, seed + i)
+        vals = num ** p / den ** q
         rows.append((float(rho), float(vals.mean()),
                      float(vals.std(ddof=1) / np.sqrt(vals.size))))
     slope, _, se_slope, _ = _wls_loglog(*np.array(rows).T)
@@ -428,37 +452,29 @@ def quotient_rho_scan(gamma: float, p: float, q: float, rhos: Sequence[float],
 # --- locality gap ------------------------------------------------------------------
 
 def locality_gap(params: GmcParams, grid: Grid, factor: CovFactor, v: float,
-                 rho: float, ts, N: int, seed: int):
+                 rho: float, quantiles, N: int, seed: int):
     """Paired MC estimate of the full-vs-local localized-tail difference.
 
     gap(t) = E[1{mu^H_v(Q_r) > t}/mu^bdy_v(I_r)]
            - E[1{mu^H_v(Q(v,rho)) > t}/mu^bdy_v(I(v,rho))]
 
-    under the field tilted at v, at every t of ``ts`` from one pass over N
-    fields; returns one row (t, gap, gap_stderr, local_term) per t.  The
-    |gap| / local-term ratio should fall as t climbs the tail.
+    under the field tilted at v, from one pass over N fields; returns one
+    row (t, gap, gap_stderr, local_term) per entry of ``quantiles``.  Each t
+    is that quantile of the full-cube mass mu^H_v(Q_r) read from the same
+    pass, so t depends on the draws it is tested against; that adds a bias
+    of order 1/N to the gap.  The |gap| / local-term ratio should fall as t
+    climbs the tail.
     """
     if not 2.0 * rho < min(grid.r - v, v + grid.r):
         raise GeometryViolation(
             f"need 2 rho < min(r - v, v + r); got rho={rho}, v={v}, r={grid.r}")
-    delta = shift_vector(factor, grid, v, params.gamma / 2.0)
-    all_b = gmc.region_all_bulk(grid)
-    all_d = gmc.region_all_bdy(grid)
-    loc_b = gmc.region_halfdisk_bulk(grid, v, rho)
-    loc_d = gmc.region_interval_bdy(grid, v - rho, v + rho)
-
-    def masses(x):
-        x += delta[:, None]
-        return (gmc.bulk_mass(x, factor, grid, params, all_b),
-                gmc.bdy_mass(x, factor, grid, params, all_d),
-                gmc.bulk_mass(x, factor, grid, params, loc_b),
-                gmc.bdy_mass(x, factor, grid, params, loc_d))
-
-    full, full_d, near, near_d = (
-        np.concatenate(parts)
-        for parts in zip(*map_field_chunks(factor, seed, N, masses)))
+    (full, near), (full_d, near_d) = tilted_masses(
+        params, grid, factor, v,
+        [gmc.region_all_bulk(grid), gmc.region_halfdisk_bulk(grid, v, rho)],
+        [gmc.region_all_bdy(grid),
+         gmc.region_interval_bdy(grid, v - rho, v + rho)], N, seed)
     rows = []
-    for t in np.atleast_1d(np.asarray(ts, dtype=float)):
+    for t in np.quantile(full, quantiles):
         b = (near > t) / near_d
         diff = (full > t) / full_d - b
         rows.append((float(t), float(diff.mean()),

@@ -160,8 +160,8 @@ def test_criterion_07_two_route_constant(two_route_g1):
     m = rec.metrics
     ok = bool(rec.passed) and wall <= 1800
     detail = (
-        f"grid {m['constant_grid_anchored']:.3f} (window spread "
-        f"{m['constant_grid_stderr']:.3f}, not a sampling error bar)"
+        f"grid {m['constant_anchored']:.3f} (window spread "
+        f"{m['constant_anchored_stderr']:.3f}, not a sampling error bar)"
         f" vs radial {m['constant_radial']:.3f} "
         f"[{m['constant_radial_ci_low']:.2f},{m['constant_radial_ci_high']:.2f}]"
         f", rel gap {m['relative_gap']:.1%}, overlap {m['intervals_overlap']}"

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from gmclab import expcli, radial
+from gmclab import expcli, radial, tailest
 from gmclab.errors import ConfigInvalid
 
 # a toy grid and radial config, small enough for unit tests
@@ -205,6 +205,19 @@ def test_quotient_moments_draws_the_radial_sample_once(tmp_path,
         **{**TOY, "N": 500}))
     assert calls == [(3, 500, True)]
     assert rec.metrics["inside_window_finite_predicted"]
+
+
+@pytest.mark.parametrize("gamma", [0.8, 1.0, 1.2])
+def test_inside_window_diagnostic_has_finite_variance(tmp_path, gamma):
+    """The inside-window quotient moment's square moment is finite too, so
+    its recorded stderr estimates a finite standard deviation."""
+    m = expcli.run(expcli.ExperimentConfig(
+        experiment="quotient-moments", output_dir=str(tmp_path),
+        **{**TOY, "N": 500, "gamma": gamma})).metrics
+    p_in, q_in = m["inside_window_p"], 1.0
+    assert tailest.quotient_finite_predicted(p_in, q_in, gamma)
+    assert tailest.quotient_finite_predicted(2 * p_in, 2 * q_in, gamma)
+    assert m["inside_window_estimate_stderr"] > 0
 
 
 def test_metrics_must_be_finite():

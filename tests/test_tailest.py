@@ -238,27 +238,60 @@ def test_radial_quotient_moment():
         tailest.radial_quotient_moment(-1.0, 1.0, 1.0, draws)
 
 
+def _tilted_setup():
+    """8x8+17 grid: v = 0 is a segment midpoint; two regions of each kind."""
+    grid = fs.build_grid(0.5, 8, 17)
+    regions = ([gmc.region_all_bulk(grid),
+                gmc.region_halfdisk_bulk(grid, 0.0, 0.2)],
+               [gmc.region_all_bdy(grid),
+                gmc.region_interval_bdy(grid, -0.2, 0.2)])
+    return grid, fs.build_cov(grid), GmcParams(1.0, 0.5), regions
+
+
+def test_tilted_masses_match_the_tilted_batch():
+    grid, factor, params, (cells, segs) = _tilted_setup()
+    bulk, bdy = tailest.tilted_masses(params, grid, factor, 0.0, cells, segs,
+                                      3000, 11)
+    x = fs.sample_field_batch(factor, 11, 3000)
+    x += fs.shift_vector(factor, grid, 0.0, params.gamma / 2.0)[:, None]
+    assert len(bulk) == len(bdy) == 2
+    for got, c in zip(bulk, cells):
+        assert np.array_equal(got, gmc.bulk_mass(x, factor, grid, params, c))
+    for got, seg in zip(bdy, segs):
+        assert np.array_equal(got, gmc.bdy_mass(x, factor, grid, params, seg))
+
+
+def test_tilted_masses_threads_bit_exact(monkeypatch):
+    grid, factor, params, (cells, segs) = _tilted_setup()
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GMCLAB_THREADS", threads)
+        # more than one SAMPLE_CHUNK, so the chunks can run on two workers
+        runs.append(tailest.tilted_masses(params, grid, factor, 0.0, cells,
+                                          segs, fs.SAMPLE_CHUNK + 500, 13))
+    (bulk1, bdy1), (bulk2, bdy2) = runs
+    for a, b in zip(bulk1 + bdy1, bulk2 + bdy2):
+        assert np.array_equal(a, b)
+
+
 def test_locality_gap_contract(grid_setup):
     grid, factor, params = grid_setup
     v = float(grid.bdy_centers[grid.n_bdy // 2])
     rho = grid.r / 4
     with pytest.raises(GeometryViolation):
-        tailest.locality_gap(params, grid, factor, v, 0.3, [1.0], 100, 1)
-    # t = 0: both indicators are one, so the gap is the reciprocal-mass
-    # difference, nonpositive by region monotonicity
-    [(t, gap, se, local)] = tailest.locality_gap(params, grid, factor, v,
-                                                 rho, [0.0], 20_000, 3)
-    assert t == 0.0 and gap <= 0
-    # t beyond every sample: both terms vanish
-    [(_, gap_hi, _, local_hi)] = tailest.locality_gap(
-        params, grid, factor, v, rho, [1e12], 5000, 5)
-    assert gap_hi == 0.0 and local_hi == 0.0
-    # one field pass serves every t: the rows of one three-t call are the
-    # one-t calls' rows, bit for bit
-    ts = [2.0, 0.5, 1.0]
-    rows = tailest.locality_gap(params, grid, factor, v, rho, ts, 3000, 7)
-    assert rows == [tailest.locality_gap(params, grid, factor, v, rho, [t],
-                                         3000, 7)[0] for t in ts]
+        tailest.locality_gap(params, grid, factor, v, 0.3, [0.5], 100, 1)
+    # quantile 1: t is the largest full-cube mass, and the local mass is
+    # never larger (its region is a subset), so both terms vanish exactly
+    [(t, gap, _, local)] = tailest.locality_gap(params, grid, factor, v, rho,
+                                                [1.0], 5000, 5)
+    assert t > 0 and gap == 0.0 and local == 0.0
+    # t is read from the same pass: one three-quantile call gives the
+    # one-quantile calls' rows, bit for bit
+    quants = [0.99, 0.5, 0.9]
+    rows = tailest.locality_gap(params, grid, factor, v, rho, quants, 3000, 7)
+    assert rows == [tailest.locality_gap(params, grid, factor, v, rho, [q],
+                                         3000, 7)[0] for q in quants]
+    assert rows[1][0] < rows[2][0] < rows[0][0]
 
 
 def test_feasible_params_systems():
