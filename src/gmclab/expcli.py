@@ -345,8 +345,8 @@ def _tail_fit_run(cfg: ExperimentConfig, kernel=None) -> _TailFitRun:
     grid = build_grid(cfg.r, cfg.n_bulk, cfg.n_bdy)
     factor = build_cov(grid, kernel)
     params = GmcParams(gamma=cfg.gamma, r=cfg.r)
-    _, mb_plain = tailest.plain_survival(params, grid, factor,
-                                         [1.0], min(cfg.N, 20000),
+    n_cal = min(cfg.N, 20000)
+    _, mb_plain = tailest.plain_survival(params, grid, factor, [1.0], n_cal,
                                          cfg.seed + 999)
     if cfg.t_grid:
         ts = np.asarray(cfg.t_grid, dtype=float)
@@ -382,6 +382,7 @@ def _tail_fit_run(cfg: ExperimentConfig, kernel=None) -> _TailFitRun:
         "window_lo": window[0],
         "window_hi": window[1],
         "stability_windows_skipped": STABILITY_WINDOWS - len(stab),
+        "n_calibration_draws": n_cal,
     }
     if stab:  # with every window skipped there is no range to report
         metrics["stability_min"] = float(min(stab))
@@ -505,6 +506,7 @@ def _exp_quotient_moments(cfg: ExperimentConfig):
         "eq11_moment_radial_stderr": se_rad,
         "eq11_moment_grid": mom_grid,
         "eq11_moment_grid_stderr": se_grid,
+        "n_grid_draws": n_grid,
         "eq11_relative_gap": float(rel),
         "inside_window_p": p_in,
         "inside_window_estimate": est_in.estimate,
@@ -521,12 +523,12 @@ def _exp_quotient_moments(cfg: ExperimentConfig):
 
 def _exp_zeta_scaling(cfg: ExperimentConfig):
     rhos = [0.05, 0.1, 0.2, 0.4] if cfg.rho_list is None else cfg.rho_list
+    n_grid = min(cfg.N, 30000)
     slope, se, rows = tailest.quotient_rho_scan(
-        cfg.gamma, cfg.p_moment, cfg.q_moment, rhos,
-        min(cfg.N, 30000), cfg.seed)
+        cfg.gamma, cfg.p_moment, cfg.q_moment, rhos, n_grid, cfg.seed)
     target = tailest.zeta_tilde(cfg.p_moment, cfg.q_moment, cfg.gamma)
     metrics = {"slope": slope, "slope_stderr": se, "zeta_tilde": target,
-               "abs_gap": abs(slope - target)}
+               "abs_gap": abs(slope - target), "n_grid_draws": n_grid}
     curves = {"rho_scan": [("quotient", r, v, s) for r, v, s in rows]}
     return metrics, curves, abs(slope - target) <= 0.2
 
@@ -557,6 +559,7 @@ def _exp_perturbed_g(cfg: ExperimentConfig):
         "quadrature_factor_per_length": float(factor_quad),
         "exponent_exact": exact.metrics["exponent"],
         "exponent_perturbed": perturbed.metrics["exponent"],
+        "n_calibration_draws": exact.metrics["n_calibration_draws"],
     }
     curves = {"survival_is": exact.curves["survival_is"],
               "survival_is_perturbed": perturbed.curves["survival_is"]}

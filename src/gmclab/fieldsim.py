@@ -19,6 +19,12 @@ the C pointer of ``scipy.linalg.cython_blas`` and releases the interpreter
 lock, so chunks run in parallel on worker threads.  Sampling is a pure
 function of (factor, seed) through counter-based streams, and replica
 batches are chunked so results do not depend on the worker count.
+
+The normals z are float32 Box-Muller draws on raw Philox words
+(``rng.fill_normal32``), the generator the radial route uses too: a chunk
+fills its (dim, size) normals ``NORMAL_ROWS`` rows per call and casts them
+into the float64 chunk, so all field arithmetic stays in float64.  Like the
+radial draws, grid fields are bit-exact per machine and numpy build.
 """
 
 from __future__ import annotations
@@ -35,10 +41,11 @@ from scipy.linalg import cython_blas
 from . import kernels
 from .cellavg import neg_log_avg_segment, neg_log_avg_tri
 from .errors import InvalidResolution, NotPositiveDefinite
-from .rng import chunk_sizes, stream_generator, thread_count
+from .rng import chunk_sizes, fill_normal32, stream_generator, thread_count
 
 MAX_DENSE_NODES = 4096
 SAMPLE_CHUNK = 2048  # replicas per RNG stream; fixed so results ignore threading
+NORMAL_ROWS = 16  # normal rows per fill_normal32 call; fixed, it sets the streams
 
 
 @dataclass(frozen=True)
@@ -218,20 +225,32 @@ def map_field_chunks(factor: CovFactor, seed: int, n: int,
 
     Replicas are cut into fixed chunks of ``SAMPLE_CHUNK``; chunk c draws its
     normals z from stream ``stream_offset + c`` and x = L z is its (dim,
-    size) block of fields.  One in-place BLAS triangular multiply turns z
-    into x, reading only the lower triangle of L.  With ``out`` the block is
-    also copied into ``out[:, a:b]``.  ``fn`` gets the chunk's own array and
-    may overwrite it; without ``out`` no (dim, n) array is built.  Chunks run
-    on a pool of ``thread_count()`` threads, and results come back in chunk
-    order, so any reduction over them is identical for every worker count.
+    size) block of fields.  z is filled in blocks of ``NORMAL_ROWS`` rows
+    (the last may be short), top to bottom: each block is one
+    ``fill_normal32`` call on the chunk's generator into one reused float32
+    scratch, cast into the float64 chunk.  A block of k rows reads
+    ceil(k size / 2) words, whose cosines fill its first half in C order
+    and whose sines the rest.  One in-place BLAS triangular multiply
+    turns z into x, reading only the lower triangle of L.  With ``out`` the
+    block is also copied into ``out[:, a:b]``.  ``fn`` gets the chunk's own
+    array and may overwrite it; without ``out`` no (dim, n) array is built.
+    Chunks run on a pool of ``thread_count()`` threads, and results come
+    back in chunk order, so any reduction over them is identical for every
+    worker count.
     """
     lower, dim = factor.lower_factor, factor.dim
     sizes = chunk_sizes(n, SAMPLE_CHUNK)
 
     def run(c):
         a, b = c * SAMPLE_CHUNK, c * SAMPLE_CHUNK + sizes[c]
-        x = stream_generator(seed, stream_offset + c).standard_normal(
-            (dim, b - a))
+        gen = stream_generator(seed, stream_offset + c)
+        x = np.empty((dim, b - a))
+        # a whole-chunk call would add a chunk of words and float32 normals
+        scratch = np.empty((min(NORMAL_ROWS, dim), b - a), dtype=np.float32)
+        for i in range(0, dim, NORMAL_ROWS):
+            block = scratch[:min(NORMAL_ROWS, dim - i)]
+            fill_normal32(gen, block)
+            x[i:i + block.shape[0]] = block
         _lower_times_inplace(lower, x)
         if out is not None:
             out[:, a:b] = x

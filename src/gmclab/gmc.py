@@ -160,7 +160,7 @@ def bdy_mass(field, factor: CovFactor, grid: Grid, params: GmcParams,
                  np.full(segs.size, grid.seg_len))
 
 
-class TiltedMasses:
+class ShiftedCubeMasses:
     """Whole-cube bulk and boundary masses of x + s_j for fixed shifts s_j.
 
     Since e^{c (X + s)} = e^{c X} e^{c s}, every shift and the

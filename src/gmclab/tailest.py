@@ -217,7 +217,7 @@ def localized_survival_curve(params: GmcParams, grid: Grid, factor: CovFactor,
     shifts = np.column_stack([shift_vector(factor, grid, float(v),
                                            params.gamma / 2.0)
                               for v in grid.bdy_centers])
-    masses = gmc.TiltedMasses(factor, grid, params, shifts)
+    masses = gmc.ShiftedCubeMasses(factor, grid, params, shifts)
 
     def chunk_sums(x):
         mb, md = masses(x)  # (n_bdy, size) each

@@ -207,6 +207,23 @@ def test_quotient_moments_draws_the_radial_sample_once(tmp_path,
     assert rec.metrics["inside_window_finite_predicted"]
 
 
+def test_records_hold_the_capped_draw_counts(tmp_path):
+    """tail-fit draws at most 20,000 calibration fields and zeta-scaling at
+    most 30,000 grid fields per rho; a run with N above the cap records the
+    count it drew, beside the configured N of the config echo."""
+    for experiment, key, n, drawn in (
+            ("tail-fit", "n_calibration_draws", 20_001, 20_000),
+            ("tail-fit", "n_calibration_draws", 1_500, 1_500),
+            ("zeta-scaling", "n_grid_draws", 30_001, 30_000)):
+        rec = expcli.run(expcli.ExperimentConfig(
+            experiment=experiment, output_dir=str(tmp_path),
+            rho_list=[0.1, 0.2], **{**TOY, "N": n}))
+        record = json.loads((tmp_path / f"{experiment}-{rec.config_hash}"
+                             / "record.json").read_text())
+        assert record["config"]["N"] == n
+        assert record["metrics"][key] == drawn
+
+
 @pytest.mark.parametrize("gamma", [0.8, 1.0, 1.2])
 def test_inside_window_diagnostic_has_finite_variance(tmp_path, gamma):
     """The inside-window quotient moment's square moment is finite too, so

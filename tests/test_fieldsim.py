@@ -3,12 +3,26 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from gmclab import fieldsim as fs
-from gmclab import kernels
+from gmclab import gmc, kernels
 from gmclab.cellavg import neg_log_avg_segment
 from gmclab.errors import ConfigInvalid, InvalidResolution, NotPositiveDefinite
-from gmclab.rng import stream_generator, thread_count
+from gmclab.gmc import GmcParams
+from gmclab.rng import fill_normal32, stream_generator, thread_count
+
+
+def chunk_normals(seed, stream, dim, size):
+    """The documented layout of one chunk's normals: blocks of 16 rows, each
+    one ``fill_normal32`` call on the chunk's stream, top to bottom."""
+    gen = stream_generator(seed, stream)
+    z = np.empty((dim, size))
+    for i in range(0, dim, 16):
+        block = np.empty((min(16, dim - i), size), dtype=np.float32)
+        fill_normal32(gen, block)
+        z[i:i + block.shape[0]] = block
+    return z
 
 
 def test_grid_geometry_small():
@@ -167,8 +181,7 @@ def test_blocked_multiply_matches_full_product(multi_block):
         assert np.array_equal(f.lower_factor, lower)
         for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK),
                                     (fs.SAMPLE_CHUNK, n)]):
-            z = stream_generator(17, 5 + c).standard_normal((f.dim, b - a))
-            full = lower @ z
+            full = lower @ chunk_normals(17, 5 + c, f.dim, b - a)
             assert np.abs(x[:, a:b] - full).max() <= 1e-12 * np.abs(full).max()
 
 
@@ -187,9 +200,48 @@ def test_single_block_is_one_plain_product():
     f = fs.build_cov(fs.build_grid(0.5, 16, 32))
     x = fs.sample_field_batch(f, 4, 3000, stream_offset=2)
     for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK), (fs.SAMPLE_CHUNK, 3000)]):
-        z = stream_generator(4, 2 + c).standard_normal((f.dim, b - a))
+        z = chunk_normals(4, 2 + c, f.dim, b - a)
         fs._lower_times_inplace(f.lower_factor, z)
         assert np.array_equal(x[:, a:b], z)
+
+
+def test_chunk_normals_are_row_blocks_of_fill_normal32():
+    """Chunk c's normals are ``NORMAL_ROWS``-row blocks of ``fill_normal32``
+    calls on stream ``stream_offset + c``, read here through an identity
+    factor, over a full and a short chunk; 40 rows end in a short block."""
+    assert fs.NORMAL_ROWS == 16
+    dim, n = 40, fs.SAMPLE_CHUNK + 301
+    ident = fs.CovFactor(dim=dim, lower_factor=np.eye(dim),
+                         diag_var=np.ones(dim), jitter_used=0.0,
+                         kernel=kernels.KernelSpec())
+    x = fs.sample_field_batch(ident, 8, n, stream_offset=3)
+    for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK), (fs.SAMPLE_CHUNK, n)]):
+        assert np.array_equal(x[:, a:b], chunk_normals(8, 3 + c, dim, b - a))
+
+
+def test_masses_have_the_law_of_ziggurat_fields():
+    """Whole-cube bulk and boundary masses at 16x16+32 from the sampler's
+    Box-Muller normals and from numpy's float64 ziggurat normals pushed
+    through the same factor have one law (two-sample KS on 30,000 fields
+    each)."""
+    grid = fs.build_grid(0.5, 16, 32)
+    f = fs.build_cov(grid)
+    params = GmcParams(1.0, 0.5)
+    bulk, bdy = gmc.region_all_bulk(grid), gmc.region_all_bdy(grid)
+
+    def masses(x):
+        return (gmc.bulk_mass(x, f, grid, params, bulk),
+                gmc.bdy_mass(x, f, grid, params, bdy))
+
+    n = 30_000
+    ours = fs.map_field_chunks(f, 61, n, masses)
+    zig = [masses(f.lower_factor @ stream_generator(62, c).standard_normal(
+        (f.dim, size))) for c, size in enumerate(
+        fs.chunk_sizes(n, fs.SAMPLE_CHUNK))]
+    for k in (0, 1):
+        a = np.concatenate([m[k] for m in ours])
+        b = np.concatenate([m[k] for m in zig])
+        assert scipy.stats.ks_2samp(a, b).pvalue >= 0.01
 
 
 def test_multiply_rejects_bad_layouts():
