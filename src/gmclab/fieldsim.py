@@ -21,7 +21,7 @@ function of (factor, seed) through counter-based streams, and replica
 batches are chunked so results do not depend on the worker count.
 
 The normals z are float32 Box-Muller draws on raw Philox words
-(``rng.fill_normal32``), the generator the radial route uses too: a chunk
+(``rng.fill_normal32``), as for the radial lateral field: a chunk
 fills its (dim, size) normals ``NORMAL_ROWS`` rows per call and casts them
 into the float64 chunk, so all field arithmetic stays in float64.  Like the
 radial draws, grid fields are bit-exact per machine and numpy build.

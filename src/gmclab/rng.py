@@ -10,8 +10,8 @@ makes results independent of the execution schedule.
 one 64-bit word gives two normals, and only float32 log, sqrt, sin and cos
 are evaluated, which numpy runs in SIMD.  Those functions round differently
 across CPUs and numpy builds, so its bits are reproducible per machine and
-numpy build, not across them.  It is the Gaussian source of both routes:
-the grid fields (``fieldsim.map_field_chunks``, one call per block of
+numpy build, not across them.  Both routes draw their fields' normals with
+it: the grid fields (``fieldsim.map_field_chunks``, one call per block of
 ``fieldsim.NORMAL_ROWS`` rows of a chunk's normals) and the radial lateral
 field (``radial.LateralModel``, one call per mode).
 """

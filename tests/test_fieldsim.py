@@ -10,7 +10,8 @@ from gmclab import gmc, kernels
 from gmclab.cellavg import neg_log_avg_segment
 from gmclab.errors import ConfigInvalid, InvalidResolution, NotPositiveDefinite
 from gmclab.gmc import GmcParams
-from gmclab.rng import fill_normal32, stream_generator, thread_count
+from gmclab.rng import chunk_sizes, fill_normal32, stream_generator, \
+    thread_count
 
 
 def chunk_normals(seed, stream, dim, size):
@@ -237,7 +238,7 @@ def test_masses_have_the_law_of_ziggurat_fields():
     ours = fs.map_field_chunks(f, 61, n, masses)
     zig = [masses(f.lower_factor @ stream_generator(62, c).standard_normal(
         (f.dim, size))) for c, size in enumerate(
-        fs.chunk_sizes(n, fs.SAMPLE_CHUNK))]
+        chunk_sizes(n, fs.SAMPLE_CHUNK))]
     for k in (0, 1):
         a = np.concatenate([m[k] for m in ours])
         b = np.concatenate([m[k] for m in zig])
