@@ -359,6 +359,9 @@ def _tail_fit_run(cfg: ExperimentConfig, kernel=None) -> _TailFitRun:
     fit = tailest.fit_tail(curve, window)
     target = 2.0 / cfg.gamma ** 2
     c_anchor, c_se = tailest.fixed_exponent_constant(curve, target, window)
+    # exact E[M^2] and its single-cell share: how far the grid is from the
+    # continuum, with no Monte Carlo
+    m2, m2_diag_share = gmc.bulk_second_moment(grid, params, kernel)
     # window-stability scan: sliding half-decade windows
     rows, stab = [], []
     lo, hi = np.log(window[0]), np.log(window[1])
@@ -383,6 +386,8 @@ def _tail_fit_run(cfg: ExperimentConfig, kernel=None) -> _TailFitRun:
         "window_hi": window[1],
         "stability_windows_skipped": STABILITY_WINDOWS - len(stab),
         "n_calibration_draws": n_cal,
+        "second_moment": m2,
+        "second_moment_diag_share": m2_diag_share,
     }
     if stab:  # with every window skipped there is no range to report
         metrics["stability_min"] = float(min(stab))
@@ -561,6 +566,9 @@ def _exp_perturbed_g(cfg: ExperimentConfig):
         "exponent_perturbed": perturbed.metrics["exponent"],
         "n_calibration_draws": exact.metrics["n_calibration_draws"],
     }
+    for run, kind in ((exact, "exact"), (perturbed, "perturbed")):
+        for key in ("second_moment", "second_moment_diag_share"):
+            metrics[f"{key}_{kind}_kernel"] = run.metrics[key]
     curves = {"survival_is": exact.curves["survival_is"],
               "survival_is_perturbed": perturbed.curves["survival_is"]}
     return metrics, curves, rel <= 0.25

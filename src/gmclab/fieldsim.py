@@ -9,22 +9,30 @@ exact: reweighting by exp(c X_j - c^2/2 Var X_j) equals shifting every node by
 c Cov(X_i, X_j).
 
 One exact dense Cholesky factorization backs the sampler: LAPACK factors
-the assembled matrix in place, with no diagonal jitter, and a matrix that is
-not positive definite raises.  Resolutions beyond ~4e3 nodes are rejected
-rather than approximated.  Fields are x = L z with L lower triangular: one
-BLAS triangular multiply (dtrmm) per chunk overwrites the chunk's normals z
-with x, so n draws cost dim^2 n flops, not the 2 dim^2 n of a full product,
-and no second chunk-sized array is made.  The multiply is called through
-the C pointer of ``scipy.linalg.cython_blas`` and releases the interpreter
-lock, so chunks run in parallel on worker threads.  Sampling is a pure
-function of (factor, seed) through counter-based streams, and replica
-batches are chunked so results do not depend on the worker count.
+the assembled float64 matrix in place, with no diagonal jitter, and a matrix
+that is not positive definite raises.  The factor is then rounded once to
+float32, the one precision of grid fields: the law sampled is that of
+L32 L32^T, positive semidefinite by construction, and the variances and
+Girsanov drifts are computed from that same float32 factor, accumulated in
+float64, so the renormalization and the drifts are exact for the law
+sampled.  Resolutions beyond ~4e3 nodes are rejected rather than
+approximated.  Fields are x = L z with L lower triangular: one BLAS
+triangular multiply (strmm) per chunk overwrites the chunk's normals z with
+x, so n draws cost dim^2 n flops, not the 2 dim^2 n of a full product, and
+no second chunk-sized array is made.  The multiply is called through the C
+pointer of ``scipy.linalg.cython_blas`` and releases the interpreter lock,
+so chunks run in parallel on worker threads.  Sampling is a pure function
+of (factor, seed) through counter-based streams, and replica batches are
+chunked so results do not depend on the worker count.
 
 The normals z are float32 Box-Muller draws on raw Philox words
-(``rng.fill_normal32``), as for the radial lateral field: a chunk
-fills its (dim, size) normals ``NORMAL_ROWS`` rows per call and casts them
-into the float64 chunk, so all field arithmetic stays in float64.  Like the
-radial draws, grid fields are bit-exact per machine and numpy build.
+(``rng.fill_normal32``), as for the radial lateral field: a chunk fills its
+(dim, size) float32 array ``NORMAL_ROWS`` rows per call, and the multiply
+turns it into the fields in place.  Rounding the factor moves covariance
+entries by ~1e-7 of their scale, and the fields differ from the float64
+product L z on the same normals by ~1e-6 of max |x|, far below Monte Carlo
+resolution.  Like the radial draws, grid fields are bit-exact per machine
+and numpy build.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .rng import chunk_sizes, fill_normal32, stream_generator, thread_count
 MAX_DENSE_NODES = 4096
 SAMPLE_CHUNK = 2048  # replicas per RNG stream; fixed so results ignore threading
 NORMAL_ROWS = 16  # normal rows per fill_normal32 call; fixed, it sets the streams
+CAST_ROWS = 256  # factor rows per block when build_cov rounds it to float32
 
 
 @dataclass(frozen=True)
@@ -100,10 +109,12 @@ def build_grid(r: float, n_bulk: int, n_bdy: int) -> Grid:
 
 @dataclass(frozen=True)
 class CovFactor:
-    """Dense lower-triangular factor of the node covariance.
+    """Dense lower-triangular float32 factor of the node covariance.
 
-    ``jitter_used`` is always 0.0: the covariance is factored exactly, with
-    no diagonal jitter.
+    The law sampled is L L^T for this float32 ``lower_factor``;
+    ``diag_var`` and ``cov_column`` are that matrix's entries, summed in
+    float64.  ``jitter_used`` is always 0.0: the covariance is factored
+    exactly, with no diagonal jitter.
     """
 
     dim: int
@@ -113,15 +124,18 @@ class CovFactor:
     kernel: kernels.KernelSpec
 
     def cov_column(self, j: int) -> np.ndarray:
-        """Column j of the factored covariance, L L^T e_j."""
-        return self.lower_factor @ self.lower_factor[j, :]
+        """Column j of the sampled covariance, L L^T e_j, in float64."""
+        lower = self.lower_factor
+        return np.einsum("ik,k->i", lower, lower[j], dtype=np.float64)
 
     def covariance(self) -> np.ndarray:
-        """Reconstructed covariance L L^T (for diagnostics and tests)."""
-        return self.lower_factor @ self.lower_factor.T
+        """The sampled covariance L L^T in float64 (for diagnostics and
+        tests)."""
+        lower = self.lower_factor.astype(np.float64)
+        return lower @ lower.T
 
 
-def _diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
+def diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
     """Exact cell-averaged self-covariances E[X_cell^2], bulk then boundary."""
     nb2 = grid.n_bulk_cells
     # all bulk cells share the direct term; the image term depends on the row
@@ -150,15 +164,19 @@ def build_cov(grid: Grid,
     diagonal entries are exact cell averages.  The boundary block is the
     -2 ln|x - y| covariance of the boundary field, so boundary masses read
     it directly.  ``kernels.pairwise`` is exactly symmetric, so the matrix
-    needs no symmetrization.  LAPACK factors the assembled matrix once, in
-    place, so the factor takes its memory; no jitter is added, and a matrix
-    that is not positive definite raises ``NotPositiveDefinite``.
+    needs no symmetrization.  LAPACK factors the assembled float64 matrix
+    once, in place; no jitter is added, and a matrix that is not positive
+    definite raises ``NotPositiveDefinite``.  The factor is then rounded to
+    a C-contiguous float32 array and the float64 one freed, so the factor
+    keeps 4 dim^2 bytes.  Only the lower triangle is converted, in blocks
+    of ``CAST_ROWS`` rows, each summed into ``diag_var`` while in cache;
+    the rest keeps the zeros of a fresh array.
     """
     if kernel is None:
         kernel = kernels.KernelSpec()
     pts = grid.node_points()
     cov = kernels.pairwise(kernel, pts, pts)
-    np.fill_diagonal(cov, _diag_cell_averages(grid, kernel))
+    np.fill_diagonal(cov, diag_cell_averages(grid, kernel))
     try:
         # cov is symmetric, so its transpose is the same matrix in Fortran
         # order: LAPACK writes the upper factor U = L^T over it, and the
@@ -171,8 +189,15 @@ def build_cov(grid: Grid,
             f"{grid.n_bulk}x{grid.n_bulk}+{grid.n_bdy}, "
             f"{'Neumann' if kernel.g is None else 'perturbed'} kernel); "
             "log kernels are positive definite only on small cubes") from exc
-    diag_var = np.einsum("ij,ij->i", lower, lower)
-    return CovFactor(dim=len(pts), lower_factor=lower, diag_var=diag_var,
+    dim = len(pts)
+    lower32 = np.zeros((dim, dim), dtype=np.float32)
+    diag_var = np.empty(dim)
+    for a in range(0, dim, CAST_ROWS):
+        b = a + CAST_ROWS
+        block = lower32[a:b, :b]
+        block[...] = lower[a:b, :b]
+        diag_var[a:b] = np.einsum("ij,ij->i", block, block, dtype=np.float64)
+    return CovFactor(dim=dim, lower_factor=lower32, diag_var=diag_var,
                      jitter_used=0.0, kernel=kernel)
 
 
@@ -185,14 +210,14 @@ def _capsule_pointer(capsule) -> int:
         ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
 
 
-# dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb); a CFUNCTYPE
+# strmm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb); a CFUNCTYPE
 # call releases the interpreter lock while BLAS runs
 _INT_P = ctypes.POINTER(ctypes.c_int)
-_DTRMM = ctypes.CFUNCTYPE(
+_STRMM = ctypes.CFUNCTYPE(
     None, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p, ctypes.c_char_p,
-    _INT_P, _INT_P, ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, _INT_P,
+    _INT_P, _INT_P, ctypes.POINTER(ctypes.c_float), ctypes.c_void_p, _INT_P,
     ctypes.c_void_p, _INT_P)(
-        _capsule_pointer(cython_blas.__pyx_capi__["dtrmm"]))
+        _capsule_pointer(cython_blas.__pyx_capi__["strmm"]))
 
 
 def _lower_times_inplace(lower: np.ndarray, z: np.ndarray) -> None:
@@ -204,17 +229,17 @@ def _lower_times_inplace(lower: np.ndarray, z: np.ndarray) -> None:
     any other would make BLAS read or write outside the arrays.
     """
     for name, arr in (("factor", lower), ("normals", z)):
-        if arr.dtype != np.float64 or arr.ndim != 2 \
+        if arr.dtype != np.float32 or arr.ndim != 2 \
                 or not arr.flags.c_contiguous:
-            raise ValueError(f"{name} must be a C-contiguous 2-D float64 "
+            raise ValueError(f"{name} must be a C-contiguous 2-D float32 "
                              f"array, got {arr.dtype} {arr.shape}")
     dim, size = z.shape
     if lower.shape != (dim, dim) or not z.flags.writeable:
         raise ValueError(f"factor {lower.shape} does not match writable "
                          f"normals {z.shape}")
     m, n = ctypes.c_int(size), ctypes.c_int(dim)
-    _DTRMM(b"R", b"U", b"N", b"N", ctypes.byref(m), ctypes.byref(n),
-           ctypes.byref(ctypes.c_double(1.0)), lower.ctypes.data,
+    _STRMM(b"R", b"U", b"N", b"N", ctypes.byref(m), ctypes.byref(n),
+           ctypes.byref(ctypes.c_float(1.0)), lower.ctypes.data,
            ctypes.byref(n), z.ctypes.data, ctypes.byref(m))
 
 
@@ -225,13 +250,13 @@ def map_field_chunks(factor: CovFactor, seed: int, n: int,
 
     Replicas are cut into fixed chunks of ``SAMPLE_CHUNK``; chunk c draws its
     normals z from stream ``stream_offset + c`` and x = L z is its (dim,
-    size) block of fields.  z is filled in blocks of ``NORMAL_ROWS`` rows
-    (the last may be short), top to bottom: each block is one
-    ``fill_normal32`` call on the chunk's generator into one reused float32
-    scratch, cast into the float64 chunk.  A block of k rows reads
-    ceil(k size / 2) words, whose cosines fill its first half in C order
-    and whose sines the rest.  One in-place BLAS triangular multiply
-    turns z into x, reading only the lower triangle of L.  With ``out`` the
+    size) float32 block of fields.  z is filled in blocks of
+    ``NORMAL_ROWS`` rows (the last may be short), top to bottom: each block
+    is one ``fill_normal32`` call on the chunk's generator, straight into
+    the chunk.  A block of k rows reads ceil(k size / 2) words, whose
+    cosines fill its first half in C order and whose sines the rest.  One
+    in-place BLAS triangular multiply turns z into x, reading only the
+    lower triangle of L.  With ``out`` the
     block is also copied into ``out[:, a:b]``.  ``fn`` gets the chunk's own
     array and may overwrite it; without ``out`` no (dim, n) array is built.
     Chunks run on a pool of ``thread_count()`` threads, and results come
@@ -244,13 +269,10 @@ def map_field_chunks(factor: CovFactor, seed: int, n: int,
     def run(c):
         a, b = c * SAMPLE_CHUNK, c * SAMPLE_CHUNK + sizes[c]
         gen = stream_generator(seed, stream_offset + c)
-        x = np.empty((dim, b - a))
-        # a whole-chunk call would add a chunk of words and float32 normals
-        scratch = np.empty((min(NORMAL_ROWS, dim), b - a), dtype=np.float32)
+        x = np.empty((dim, b - a), dtype=np.float32)
+        # a whole-chunk call would add a chunk of words and temporaries
         for i in range(0, dim, NORMAL_ROWS):
-            block = scratch[:min(NORMAL_ROWS, dim - i)]
-            fill_normal32(gen, block)
-            x[i:i + block.shape[0]] = block
+            fill_normal32(gen, x[i:i + NORMAL_ROWS])
         _lower_times_inplace(lower, x)
         if out is not None:
             out[:, a:b] = x
@@ -265,12 +287,13 @@ def map_field_chunks(factor: CovFactor, seed: int, n: int,
 
 def sample_field_batch(factor: CovFactor, seed: int, n: int,
                        stream_offset: int = 0) -> np.ndarray:
-    """(dim, n) matrix of independent fields; column order is reproducible.
+    """(dim, n) float32 matrix of independent fields; column order is
+    reproducible.
 
     Columns are the chunks of ``map_field_chunks`` in chunk order, so the
     output is identical for any worker count.
     """
-    out = np.empty((factor.dim, n))
+    out = np.empty((factor.dim, n), dtype=np.float32)
     map_field_chunks(factor, seed, n, lambda x: None, stream_offset, out=out)
     return out
 

@@ -7,7 +7,13 @@ exponentials with exact discrete renormalization:
              w_i = integral of y^{-gamma^2/2} over cell i,
     boundary sum_j  seg_len exp(gamma/2 X_j - gamma^2/8 Var X_j),
 
-so unshifted means are exactly sum w_i and the interval length.
+so unshifted means are exactly sum w_i and the interval length.  The
+variances are those of the law sampled (see ``fieldsim``), so the identity
+holds for the fields drawn, up to rounding.
+
+Masses follow the precision of the field they are given: fieldsim's
+float32 fields are exponentiated and summed in float32, as the radial
+lateral field is, and every mass comes back in float64.
 
 Measures localized at a boundary midpoint v are the masses of the tilted
 field X + s, with s = ``fieldsim.shift_vector(factor, grid, v, gamma/2)``
@@ -26,12 +32,16 @@ streams the tilted fields and reads the masses of any set of regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
+from . import kernels
 from .errors import RegionMismatch, SupercriticalWeight
-from .fieldsim import CovFactor, Grid
+from .fieldsim import CovFactor, Grid, diag_cell_averages
+
+SECOND_MOMENT_ROWS = 512  # kernel rows per block of bulk_second_moment
 
 
 @dataclass(frozen=True)
@@ -89,8 +99,10 @@ def _as_slice(idx: np.ndarray):
 
 
 def _renorm_exp(vals, diag, coupling):
-    """exp(c X - c^2/2 Var X) for selected nodes, broadcasting over replicas."""
-    d = diag.reshape((-1,) + (1,) * (vals.ndim - 1))
+    """exp(c X - c^2/2 Var X) for selected nodes, broadcasting over replicas,
+    in the precision of ``vals``."""
+    d = diag.astype(vals.dtype, copy=False) \
+        .reshape((-1,) + (1,) * (vals.ndim - 1))
     out = coupling * vals
     out -= 0.5 * coupling * coupling * d
     return np.exp(out, out=out)
@@ -122,12 +134,45 @@ def bulk_weights(grid: Grid, params: GmcParams) -> np.ndarray:
     return grid.dx * integ
 
 
+def bulk_second_moment(grid: Grid, params: GmcParams,
+                       kernel: Optional[kernels.KernelSpec] = None):
+    """Exact E[M^2] of the whole-cube bulk mass, and its diagonal share.
+
+    E[M^2] = sum_ij w_i w_j e^{gamma^2 Sigma_ij}, with Sigma the node
+    covariance as ``fieldsim.build_cov`` assembles it before factoring:
+    kernel values at cell centers off the diagonal, exact cell averages on
+    it.  No factor is needed, so there is no positive-definiteness
+    condition and no node cap; the kernel is evaluated in blocks of
+    ``SECOND_MOMENT_ROWS`` rows.  The diagonal share is the part of E[M^2]
+    from the single-cell terms w_i^2 e^{gamma^2 Var X_i}.  ``kernel``
+    defaults to the Neumann kernel.
+    """
+    if kernel is None:
+        kernel = kernels.KernelSpec()
+    w = bulk_weights(grid, params)
+    _require_finite_bulk_weights(w)
+    g2 = params.gamma ** 2
+    pts = grid.bulk_centers
+    diag = diag_cell_averages(grid, kernel)[:grid.n_bulk_cells]
+    total = 0.0
+    for a in range(0, pts.shape[0], SECOND_MOMENT_ROWS):
+        b = min(a + SECOND_MOMENT_ROWS, pts.shape[0])
+        blk = kernels.pairwise(kernel, pts[a:b], pts)
+        np.fill_diagonal(blk[:, a:b], diag[a:b])
+        blk *= g2
+        np.exp(blk, out=blk)
+        total += float(w[a:b] @ blk @ w)
+    return total, float(w @ (w * np.exp(g2 * diag))) / total
+
+
 def _mass(field, factor: CovFactor, rows: np.ndarray, coupling: float,
           w: np.ndarray):
     """sum_i w_i exp(c X_i - c^2/2 Var X_i) over the given field rows.
 
     ``field`` is one realization (dim,), giving a float, or a (dim, n)
-    batch, giving n masses.
+    batch, giving n float64 masses.  The sum runs in the field's precision,
+    through einsum rather than a BLAS gemv, so it does not depend on the
+    BLAS thread count.
     """
     vals = np.asarray(field)
     if not rows.size:
@@ -135,8 +180,8 @@ def _mass(field, factor: CovFactor, rows: np.ndarray, coupling: float,
     else:
         rows = _as_slice(rows)
         ex = _renorm_exp(vals[rows], factor.diag_var[rows], coupling)
-        out = np.einsum("i,i...->...", w, ex)
-    return float(out) if np.ndim(out) == 0 else out
+        out = np.einsum("i,i...->...", w.astype(ex.dtype, copy=False), ex)
+    return float(out) if np.ndim(out) == 0 else out.astype(np.float64)
 
 
 def bulk_mass(field, factor: CovFactor, grid: Grid, params: GmcParams,
@@ -168,7 +213,8 @@ class ShiftedCubeMasses:
     mass of x + s_j is sum_i w_i e^{gamma s_ij - gamma^2/2 Var X_i}
     e^{gamma x_i}, and the boundary mass is the same sum with seg_len and
     coupling gamma/2.  A batch then costs one exponential per node and
-    replica plus two small GEMMs for all shifts.
+    replica plus two small GEMMs for all shifts, in the precision of the
+    field; the masses come back in float64.
     """
 
     def __init__(self, factor: CovFactor, grid: Grid, params: GmcParams,
@@ -186,14 +232,16 @@ class ShiftedCubeMasses:
         self.bdy_w = grid.seg_len * np.exp(expo[nb:])
 
     def __call__(self, x: np.ndarray):
-        """(bulk, boundary) masses, each (n_shifts, n), of the columns of x.
+        """(bulk, boundary) float64 masses, each (n_shifts, n), of the
+        columns of x.
 
         ``x`` (dim, n) is overwritten with e^{c x}.
         """
-        x *= self.coupling
+        dtype, nb = x.dtype, self.n_bulk
+        x *= self.coupling.astype(dtype)
         np.exp(x, out=x)
-        nb = self.n_bulk
-        return self.bulk_w.T @ x[:nb], self.bdy_w.T @ x[nb:]
+        return ((self.bulk_w.T.astype(dtype) @ x[:nb]).astype(np.float64),
+                (self.bdy_w.T.astype(dtype) @ x[nb:]).astype(np.float64))
 
 
 # --- angular weight ---------------------------------------------------------

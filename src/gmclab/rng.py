@@ -11,9 +11,11 @@ one 64-bit word gives two normals, and only float32 log, sqrt, sin and cos
 are evaluated, which numpy runs in SIMD.  Those functions round differently
 across CPUs and numpy builds, so its bits are reproducible per machine and
 numpy build, not across them.  Both routes draw their fields' normals with
-it: the grid fields (``fieldsim.map_field_chunks``, one call per block of
-``fieldsim.NORMAL_ROWS`` rows of a chunk's normals) and the radial lateral
-field (``radial.LateralModel``, one call per mode).
+it and keep the fields in float32: the grid fields
+(``fieldsim.map_field_chunks``, one call per block of
+``fieldsim.NORMAL_ROWS`` rows, straight into the chunk that the float32
+factor then multiplies in place) and the radial lateral field
+(``radial.LateralModel``, one call per mode).
 """
 
 from __future__ import annotations

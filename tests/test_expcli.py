@@ -188,6 +188,25 @@ def test_two_route_record_holds_the_tail_fit_metrics(tmp_path):
     assert {key: two[key] for key in fit} == fit
 
 
+def test_grid_records_carry_the_exact_second_moment(tmp_path):
+    """tail-fit records the exact E[M^2] and its diagonal share; perturbed-g
+    records both for each kernel, and a constant g = c scales every
+    covariance entry's exponential, so E[M^2] by exactly e^{gamma^2 c}."""
+    fit = expcli.run(expcli.ExperimentConfig(
+        experiment="tail-fit", output_dir=str(tmp_path), **TOY)).metrics
+    cfg = expcli.ExperimentConfig(experiment="perturbed-g",
+                                  output_dir=str(tmp_path), **TOY)
+    pert = expcli.run(cfg).metrics
+    for key in ("second_moment", "second_moment_diag_share"):
+        assert pert[f"{key}_exact_kernel"] == fit[key]
+    assert 0.0 < fit["second_moment_diag_share"] < 1.0
+    assert pert["second_moment_perturbed_kernel"] == pytest.approx(
+        np.exp(cfg.gamma ** 2 * cfg.g_const) * fit["second_moment"],
+        rel=1e-12)
+    assert pert["second_moment_diag_share_perturbed_kernel"] == \
+        pytest.approx(fit["second_moment_diag_share"], rel=1e-12)
+
+
 def test_quotient_moments_draws_the_radial_sample_once(tmp_path,
                                                         monkeypatch):
     """One ``sample_joint`` call feeds the eq-11 moment and both

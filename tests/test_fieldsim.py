@@ -14,11 +14,62 @@ from gmclab.rng import chunk_sizes, fill_normal32, stream_generator, \
     thread_count
 
 
+U32, U64 = 2.0 ** -24, 2.0 ** -53  # unit roundoff of float32 and float64
+# numpy's float32 exp is within 4 ulp, 8 U32 relative (2.54 ulp measured
+# over 2e7 arguments in [-80, 80])
+EXP32_REL = 8 * U32
+
+
+def gamma_k(k, u=U32):
+    """Higham's gamma_k = k u / (1 - k u).  A sum or dot product of k terms,
+    in any order, is within gamma_k sum |term| of the exact one, and a
+    product of k factors (1 + delta), |delta| <= u, is within gamma_k of 1."""
+    return k * u / (1.0 - k * u)
+
+
+def float64_factor(grid):
+    """The float64 Cholesky factor that ``build_cov`` rounds to float32: the
+    same assembly, factored by the same LAPACK call."""
+    pts = grid.node_points()
+    cov = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+    np.fill_diagonal(cov, fs.diag_cell_averages(grid, kernels.KernelSpec()))
+    return cov, scipy.linalg.cholesky(cov.copy().T, check_finite=False).T
+
+
+def cov_rounding_bound(f):
+    """Entrywise bound on |L L^T - A|, for L the float32 factor and A the
+    assembled float64 matrix, with L L^T summed in float64.
+
+    L = fl32(L64), so each product L_ik L_jk is L64_ik L64_jk (1 + theta_2)
+    (gamma_2); LAPACK's L64 L64^T = A + dA with |dA| <= gamma_{n+1}(u64)
+    |L64||L64|^T (Higham, Thm 10.3); summing L L^T in float64 adds
+    gamma_n(u64) |L||L|^T; and |L64| <= |L| / (1 - u).  Each term is thus a
+    multiple of |L||L|^T.
+    """
+    a = np.abs(f.lower_factor.astype(np.float64))
+    return (gamma_k(2) + 3 * gamma_k(f.dim + 1, U64)) / (1 - U32) ** 2 \
+        * (a @ a.T)
+
+
+def field_rounding_bound(lower64, z):
+    """Entrywise bound on |x - L64 z| for x the float32 fields and
+    L64 z their float64 product on the same normals.
+
+    Row i of x is a float32 dot product of i + 1 terms of fl32(L64) and z,
+    so |x_i - (L64 z)_i| <= gamma_{i+2} sum_j |L64_ij||z_j|: one rounding
+    of the factor and i + 1 of the dot product.  The float64 product adds
+    gamma_n(u64) of the same sum.
+    """
+    k = np.arange(lower64.shape[0]) + 2.0
+    return (gamma_k(k) + gamma_k(lower64.shape[0], U64))[:, None] \
+        * (np.abs(lower64) @ np.abs(z))
+
+
 def chunk_normals(seed, stream, dim, size):
     """The documented layout of one chunk's normals: blocks of 16 rows, each
     one ``fill_normal32`` call on the chunk's stream, top to bottom."""
     gen = stream_generator(seed, stream)
-    z = np.empty((dim, size))
+    z = np.empty((dim, size), dtype=np.float32)
     for i in range(0, dim, 16):
         block = np.empty((min(16, dim - i), size), dtype=np.float32)
         fill_normal32(gen, block)
@@ -55,24 +106,32 @@ def test_grid_invalid():
 
 
 def test_cov_factor_reconstruction():
+    """The factor is LAPACK's float64 factor rounded once to float32, and
+    the covariance it samples is the assembled matrix up to that rounding:
+    kernel values off the diagonal, cell averages on it, no jitter."""
     g = fs.build_grid(0.5, 6, 12)
     f = fs.build_cov(g)
+    assembled, lower64 = float64_factor(g)
+    lower = f.lower_factor
+    assert lower.dtype == np.float32 and lower.flags["C_CONTIGUOUS"]
+    assert np.array_equal(lower, lower64.astype(np.float32))
+    assert not np.any(np.triu(lower, 1))
     cov = f.covariance()
-    rel = np.abs(f.lower_factor @ f.lower_factor.T - cov).max() \
-        / np.abs(cov).max()
-    assert rel <= 1e-10
+    # both sum the same exact float64 products, in two orders
+    np.testing.assert_allclose(f.diag_var, np.diag(cov),
+                               rtol=2 * gamma_k(f.dim, U64), atol=0.0)
     assert np.all(f.diag_var > 0)
+    assert f.jitter_used == 0.0
     # off-diagonal entries are kernel values at centers
     pts = g.node_points()
     k = kernels.pairwise(kernels.KernelSpec(), pts, pts)
     off = ~np.eye(g.n_nodes, dtype=bool)
-    assert f.jitter_used == 0.0
-    assert np.abs((cov - k)[off]).max() <= 1e-12
+    bound = cov_rounding_bound(f)
+    assert np.all(np.abs(cov - k)[off] <= bound[off])
     # and the diagonal holds the cell averages: no jitter was added
-    diag = fs._diag_cell_averages(g, kernels.KernelSpec())
-    assert np.abs(np.diag(cov) - diag).max() <= 1e-12
-    lower = f.lower_factor
-    assert lower.flags["C_CONTIGUOUS"] and not np.any(np.triu(lower, 1))
+    diag = fs.diag_cell_averages(g, kernels.KernelSpec())
+    assert np.array_equal(np.diag(assembled), diag)
+    assert np.all(np.abs(np.diag(cov) - diag) <= np.diag(bound))
 
 
 def test_failed_cholesky_raises_not_positive_definite(monkeypatch):
@@ -122,13 +181,16 @@ def test_neumann_boundary_block_is_log_interval_kernel():
         assert f.dim == grid.n_nodes
         nb = grid.n_bulk_cells
         block = f.covariance()[nb:, nb:]
+        # the factor's rounding, plus float64 slack between the two log
+        # formulas
+        bound = cov_rounding_bound(f)[nb:, nb:] + 1e-12
         x = grid.bdy_centers
         off = ~np.eye(grid.n_bdy, dtype=bool)
         with np.errstate(divide="ignore"):
             want = -2.0 * np.log(np.abs(x[:, None] - x[None, :]))
-        assert np.abs(block - want)[off].max() <= 1e-9
-        assert np.abs(np.diag(block) - 2.0 * neg_log_avg_segment(
-            grid.seg_len)).max() <= 1e-9
+        assert np.all(np.abs(block - want)[off] <= bound[off])
+        assert np.all(np.abs(np.diag(block) - 2.0 * neg_log_avg_segment(
+            grid.seg_len)) <= np.diag(bound))
 
 
 def test_bulk_boundary_cross_block_nonzero():
@@ -167,27 +229,33 @@ def test_batch_threads_invariance(monkeypatch):
 
 @pytest.fixture(scope="module")
 def multi_block():
-    """24x24+48 = 624 nodes."""
-    return fs.build_cov(fs.build_grid(0.5, 24, 48))
+    """24x24+48 = 624 nodes: the grid and its factor."""
+    grid = fs.build_grid(0.5, 24, 48)
+    return grid, fs.build_cov(grid)
 
 
 def test_blocked_multiply_matches_full_product(multi_block):
-    """The in-place triangular multiply agrees with the full product L z at
-    288 and 624 nodes, over a full and a short chunk, and leaves L as it
-    was."""
+    """The float32 fields agree with the float64 product L64 z of the
+    unrounded factor and the same normals, entry by entry within the
+    rounding bound, at 288 and 624 nodes, over a full and a short chunk;
+    the multiply leaves L as it was."""
     n = fs.SAMPLE_CHUNK + 952
-    for f in (fs.build_cov(fs.build_grid(0.5, 16, 32)), multi_block):
+    small = fs.build_grid(0.5, 16, 32)
+    for grid, f in ((small, fs.build_cov(small)), multi_block):
         lower = f.lower_factor.copy()
+        _, lower64 = float64_factor(grid)
         x = fs.sample_field_batch(f, 17, n, stream_offset=5)
+        assert x.dtype == np.float32
         assert np.array_equal(f.lower_factor, lower)
         for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK),
                                     (fs.SAMPLE_CHUNK, n)]):
-            full = lower @ chunk_normals(17, 5 + c, f.dim, b - a)
-            assert np.abs(x[:, a:b] - full).max() <= 1e-12 * np.abs(full).max()
+            z = chunk_normals(17, 5 + c, f.dim, b - a).astype(np.float64)
+            err = np.abs(x[:, a:b] - lower64 @ z)
+            assert np.all(err <= field_rounding_bound(lower64, z))
 
 
 def test_blocked_multiply_threads_invariance(multi_block, monkeypatch):
-    f = multi_block
+    _, f = multi_block
     monkeypatch.setenv("GMCLAB_THREADS", "1")
     x1 = fs.sample_field_batch(f, 9, 5000)
     for workers in ("2", "4"):
@@ -212,7 +280,7 @@ def test_chunk_normals_are_row_blocks_of_fill_normal32():
     factor, over a full and a short chunk; 40 rows end in a short block."""
     assert fs.NORMAL_ROWS == 16
     dim, n = 40, fs.SAMPLE_CHUNK + 301
-    ident = fs.CovFactor(dim=dim, lower_factor=np.eye(dim),
+    ident = fs.CovFactor(dim=dim, lower_factor=np.eye(dim, dtype=np.float32),
                          diag_var=np.ones(dim), jitter_used=0.0,
                          kernel=kernels.KernelSpec())
     x = fs.sample_field_batch(ident, 8, n, stream_offset=3)
@@ -245,16 +313,66 @@ def test_masses_have_the_law_of_ziggurat_fields():
         assert scipy.stats.ks_2samp(a, b).pvalue >= 0.01
 
 
+@pytest.mark.parametrize("n_bulk", [16, 24])
+def test_float32_masses_match_float64_fields(n_bulk):
+    """On the same normals, masses from the float32 path (fields,
+    exponentials and sums in float32) match gmc's float64 masses of the
+    float64 fields L64 z within the rounding bound, at 16x16+32 and
+    24x24+48.
+
+    At node i the float32 exponent c x_i - c^2/2 Var X_i is off the float64
+    one by at most d_i = c e_i + gamma_4 (c |x_i| + c^2/2 Var X_i): e_i is
+    the field bound, and gamma_4 covers rounding c, Var X and c^2/2, the two
+    products and the subtraction.  The term w_i e^{...} is then within
+    (1 + u)(1 + EXP32_REL) e^{d_i} - 1 relative (the weight's rounding and
+    exp), the float32 sum of k positive terms adds gamma_k, and the float64
+    reference gamma_{k+8}(u64).
+    """
+    grid = fs.build_grid(0.5, n_bulk, 2 * n_bulk)
+    f = fs.build_cov(grid)
+    _, lower64 = float64_factor(grid)
+    params = GmcParams(1.0, 0.5)
+    bulk, bdy = gmc.region_all_bulk(grid), gmc.region_all_bdy(grid)
+    n = 600  # one chunk: stream 0
+    x32 = fs.sample_field_batch(f, 71, n)
+    z = chunk_normals(71, 0, f.dim, n).astype(np.float64)
+    x64 = lower64 @ z
+    err = field_rounding_bound(lower64, z)
+    assert np.all(np.abs(x32 - x64) <= err)
+
+    def mass_bound(rows, c, w):
+        v = f.diag_var[rows][:, None]
+        d = c * err[rows] + gamma_k(4) * (
+            c * np.abs(x32[rows].astype(np.float64)) + 0.5 * c * c * v)
+        terms = w[:, None] * np.exp(c * x64[rows] - 0.5 * c * c * v)
+        k = len(rows)
+        rho = (1 + U32) * (1 + EXP32_REL) * (1 + gamma_k(k)) * np.exp(d) \
+            - 1 + gamma_k(k + 8, U64)
+        return (terms * rho).sum(axis=0)
+
+    g = params.gamma
+    for ours, ref, bound in (
+            (gmc.bulk_mass(x32, f, grid, params, bulk),
+             gmc.bulk_mass(x64, f, grid, params, bulk),
+             mass_bound(bulk, g, gmc.bulk_weights(grid, params))),
+            (gmc.bdy_mass(x32, f, grid, params, bdy),
+             gmc.bdy_mass(x64, f, grid, params, bdy),
+             mass_bound(grid.n_bulk_cells + bdy, g / 2,
+                        np.full(grid.n_bdy, grid.seg_len)))):
+        assert ours.dtype == np.float64
+        assert np.all(np.abs(ours - ref) <= bound)
+
+
 def test_multiply_rejects_bad_layouts():
-    """BLAS gets raw pointers, so any layout but C-contiguous float64 with
-    matching shapes must raise before the call, leaving both arrays as they
-    were."""
+    """BLAS gets raw pointers, so any layout but C-contiguous float32 with
+    matching shapes must raise before the call, float64 arrays included,
+    leaving both arrays as they were."""
     rng = np.random.default_rng(0)
-    lower = np.tril(rng.standard_normal((6, 6)))
-    z = rng.standard_normal((6, 8))
+    lower = np.tril(rng.standard_normal((6, 6))).astype(np.float32)
+    z = rng.standard_normal((6, 8)).astype(np.float32)
     bad = [(lower, z[:, ::2]), (lower, np.asfortranarray(z)),
-           (lower.T, z), (lower, z.astype(np.float32)),
-           (lower.astype(np.float32), z), (lower[:5, :5], z),
+           (lower.T, z), (lower, z.astype(np.float64)),
+           (lower.astype(np.float64), z), (lower[:5, :5], z),
            (lower, z[:, :, None])]
     for a, b in bad:
         a0, b0 = a.copy(), b.copy()
@@ -263,7 +381,11 @@ def test_multiply_rejects_bad_layouts():
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
     x = z.copy()
     fs._lower_times_inplace(lower, x)
-    assert np.allclose(x, lower @ z, rtol=1e-14, atol=1e-14)
+    # row i is a float32 dot product of i + 1 exact terms: gamma_{i+1}
+    a64, z64 = np.abs(lower.astype(np.float64)), z.astype(np.float64)
+    k = np.arange(6) + 1.0
+    bound = (gamma_k(k) + gamma_k(6, U64))[:, None] * (a64 @ np.abs(z64))
+    assert np.all(np.abs(x - lower.astype(np.float64) @ z64) <= bound)
 
 
 def test_thread_count_rejects_malformed_env(monkeypatch):
