@@ -38,6 +38,8 @@ and numpy build.
 from __future__ import annotations
 
 import ctypes
+import mmap
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -243,6 +245,20 @@ def _lower_times_inplace(lower: np.ndarray, z: np.ndarray) -> None:
            ctypes.byref(n), z.ctypes.data, ctypes.byref(m))
 
 
+def _mapped_buffer(count: int) -> np.ndarray:
+    """Uninitialized float32 array of ``count`` entries on an anonymous
+    memory map of its own.
+
+    glibc raises its mmap threshold to the size of any mapped block under
+    32 MB that it frees, so later blocks of that size come from its heap,
+    and how much of the heap stays resident then depends on the order of
+    earlier allocations.  A map of its own goes back to the system when
+    the array is freed, so resident memory does not depend on that history.
+    """
+    buf = mmap.mmap(-1, max(1, 4 * count))
+    return np.frombuffer(buf, dtype=np.float32, count=count)
+
+
 def map_field_chunks(factor: CovFactor, seed: int, n: int,
                      fn: Callable[[np.ndarray], Any], stream_offset: int = 0,
                      out: Optional[np.ndarray] = None) -> list:
@@ -256,30 +272,41 @@ def map_field_chunks(factor: CovFactor, seed: int, n: int,
     the chunk.  A block of k rows reads ceil(k size / 2) words, whose
     cosines fill its first half in C order and whose sines the rest.  One
     in-place BLAS triangular multiply turns z into x, reading only the
-    lower triangle of L.  With ``out`` the
-    block is also copied into ``out[:, a:b]``.  ``fn`` gets the chunk's own
-    array and may overwrite it; without ``out`` no (dim, n) array is built.
+    lower triangle of L.  With ``out`` the block is also copied into
+    ``out[:, a:b]``.  Without ``out`` no (dim, n) array is built.
     Chunks run on a pool of ``thread_count()`` threads, and results come
     back in chunk order, so any reduction over them is identical for every
     worker count.
+
+    Each worker holds one chunk buffer for the whole call
+    (``_mapped_buffer``) and refills it chunk after chunk: ``fn`` may
+    overwrite x but must not keep it, and the buffers are unmapped when the
+    call returns.
     """
     lower, dim = factor.lower_factor, factor.dim
     sizes = chunk_sizes(n, SAMPLE_CHUNK)
+    workers = min(thread_count(), len(sizes))
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(_mapped_buffer(dim * sizes[0]))
 
     def run(c):
         a, b = c * SAMPLE_CHUNK, c * SAMPLE_CHUNK + sizes[c]
         gen = stream_generator(seed, stream_offset + c)
-        x = np.empty((dim, b - a), dtype=np.float32)
-        # a whole-chunk call would add a chunk of words and temporaries
-        for i in range(0, dim, NORMAL_ROWS):
-            fill_normal32(gen, x[i:i + NORMAL_ROWS])
-        _lower_times_inplace(lower, x)
-        if out is not None:
-            out[:, a:b] = x
-        return fn(x)
+        buf = free.get()
+        try:
+            x = buf[:dim * (b - a)].reshape(dim, b - a)
+            # a whole-chunk call would add a chunk of words and temporaries
+            for i in range(0, dim, NORMAL_ROWS):
+                fill_normal32(gen, x[i:i + NORMAL_ROWS])
+            _lower_times_inplace(lower, x)
+            if out is not None:
+                out[:, a:b] = x
+            return fn(x)
+        finally:
+            free.put(buf)
 
-    workers = thread_count()
-    if workers > 1 and len(sizes) > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, range(len(sizes))))
     return [run(c) for c in range(len(sizes))]

@@ -42,6 +42,7 @@ from .errors import RegionMismatch, SupercriticalWeight
 from .fieldsim import CovFactor, Grid, diag_cell_averages
 
 SECOND_MOMENT_ROWS = 512  # kernel rows per block of bulk_second_moment
+MASS_ROWS = 256  # field rows per exponentiated block of a mass
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,12 @@ def _as_slice(idx: np.ndarray):
     return idx
 
 
-def _renorm_exp(vals, diag, coupling):
+def _renorm_exp(vals, diag, coupling, out=None):
     """exp(c X - c^2/2 Var X) for selected nodes, broadcasting over replicas,
-    in the precision of ``vals``."""
+    in the precision of ``vals``, into ``out`` if given."""
     d = diag.astype(vals.dtype, copy=False) \
         .reshape((-1,) + (1,) * (vals.ndim - 1))
-    out = coupling * vals
+    out = np.multiply(coupling, vals, out=out)
     out -= 0.5 * coupling * coupling * d
     return np.exp(out, out=out)
 
@@ -172,16 +173,27 @@ def _mass(field, factor: CovFactor, rows: np.ndarray, coupling: float,
     ``field`` is one realization (dim,), giving a float, or a (dim, n)
     batch, giving n float64 masses.  The sum runs in the field's precision,
     through einsum rather than a BLAS gemv, so it does not depend on the
-    BLAS thread count.
+    BLAS thread count.  Rows are exponentiated ``MASS_ROWS`` at a time into
+    one small buffer, so no array the size of the selected rows is made.
+    Row 0 of the buffer carries the running sum with weight 1, and einsum
+    adds a batch's rows in order, so the blocks continue one sum over all
+    rows.
     """
     vals = np.asarray(field)
     if not rows.size:
-        out = np.zeros(vals.shape[1:])
-    else:
-        rows = _as_slice(rows)
-        ex = _renorm_exp(vals[rows], factor.diag_var[rows], coupling)
-        out = np.einsum("i,i...->...", w.astype(ex.dtype, copy=False), ex)
-    return float(out) if np.ndim(out) == 0 else out.astype(np.float64)
+        return 0.0 if vals.ndim == 1 else np.zeros(vals.shape[1:])
+    dtype = np.result_type(vals, coupling)
+    k = min(MASS_ROWS, rows.size)
+    buf = np.zeros((k + 1,) + vals.shape[1:], dtype=dtype)
+    wts = np.ones(k + 1, dtype=dtype)
+    for a in range(0, rows.size, MASS_ROWS):
+        block = _as_slice(rows[a:a + MASS_ROWS])
+        m = min(MASS_ROWS, rows.size - a)
+        _renorm_exp(vals[block], factor.diag_var[block], coupling,
+                    out=buf[1:m + 1])
+        wts[1:m + 1] = w[a:a + m]
+        buf[0] = np.einsum("i,i...->...", wts[:m + 1], buf[:m + 1])
+    return float(buf[0]) if vals.ndim == 1 else buf[0].astype(np.float64)
 
 
 def bulk_mass(field, factor: CovFactor, grid: Grid, params: GmcParams,

@@ -227,6 +227,18 @@ def test_batch_threads_invariance(monkeypatch):
     assert np.array_equal(x1, x2)
 
 
+def test_each_worker_refills_one_chunk_buffer(monkeypatch):
+    """A call draws every chunk into one buffer per worker, so it holds
+    ``thread_count()`` chunks of memory however many chunks it draws."""
+    f = fs.build_cov(fs.build_grid(0.5, 4, 8))
+    n = 5 * fs.SAMPLE_CHUNK + 10
+    for workers in (1, 2):
+        monkeypatch.setenv("GMCLAB_THREADS", str(workers))
+        starts = fs.map_field_chunks(
+            f, 3, n, lambda x: x.__array_interface__["data"][0])
+        assert len(starts) == 6 and len(set(starts)) <= workers
+
+
 @pytest.fixture(scope="module")
 def multi_block():
     """24x24+48 = 624 nodes: the grid and its factor."""

@@ -1,6 +1,8 @@
 """GMC masses: renormalization identities, localized masses of tilted
 fields, scaling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,28 @@ def test_masses_leave_the_field_unchanged(setup):
                                                * var32))
     assert x.dtype == ref.dtype == np.float32
     assert np.array_equal(calls[0](x), ref.astype(np.float64))
+
+
+def test_blocked_masses_continue_one_sum(monkeypatch):
+    """A batch's mass over more rows than ``MASS_ROWS`` is built block by
+    block in one small buffer whose row 0 carries the running sum: the
+    masses are bit for bit those of one block over all rows, and the
+    call never holds an array the size of the selected rows."""
+    grid = fs.build_grid(0.5, 24, 48)
+    factor = fs.build_cov(grid)
+    params = GmcParams(1.0, 0.5)
+    bulk = gmc.region_all_bulk(grid)
+    x = fs.sample_field_batch(factor, 23, fs.SAMPLE_CHUNK)
+    assert bulk.size > gmc.MASS_ROWS
+    tracemalloc.start()
+    mb = gmc.bulk_mass(x, factor, grid, params, bulk)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 0.5 * x[bulk].nbytes
+    for rows in (7, bulk.size):  # 82 full blocks and a short one; one block
+        monkeypatch.setattr(gmc, "MASS_ROWS", rows)
+        assert np.array_equal(gmc.bulk_mass(x, factor, grid, params, bulk),
+                              mb)
 
 
 def test_bulk_second_moment_is_the_sampled_law():
