@@ -8,8 +8,9 @@ Subpackage map:
 - ``fieldsim`` half-plane grids, dense covariance factors, streamed field
   sampling, Girsanov shift vectors
 - ``gmc``      bulk/boundary GMC masses of a field or a batch of fields,
-  and the masses of all boundary tilts at once; measures localized at a
-  boundary point are the masses of the field tilted toward it
+  from one weight matrix that folds in the renormalization, any boundary
+  tilts and regions; measures localized at a boundary point are the masses
+  of the field tilted toward it
 - ``radial``   maximum law, conditioned paths, lateral densities and the
   radial-route integrals
 - ``tailest``  survival curves, log-log WLS tail fits, the

@@ -226,13 +226,11 @@ def _exp_validate_girsanov(cfg: ExperimentConfig):
     node = grid.n_bulk_cells + j
     all_bdy = gmc.region_all_bdy(grid)
     couplings = (cfg.gamma, 1.5)
-    drifts = [shift_vector(factor, grid, v, g / 2.0) for g in couplings]
-
-    def functional(x, g):
-        # boundary-mass test functional: bounded, smooth, and defined for
-        # every gamma < 2 (bulk weights would diverge from sqrt(2) on)
-        pars = GmcParams(gamma=g, r=cfg.r)
-        return np.exp(-gmc.bdy_mass(x, factor, grid, pars, all_bdy))
+    pars = [GmcParams(gamma=g, r=cfg.r) for g in couplings]
+    # boundary masses of X + s_v, the drift folded into the mass weights
+    shifted_masses = [gmc.MassWeights(
+        factor, grid, p, shift_vector(factor, grid, v, p.gamma / 2.0)[:, None],
+        [], [all_bdy]) for p in pars]
 
     def likelihood_ratio(x, g):
         # e^{c X_v - c^2/2 Var X_v} of the tilt toward v with charge c = g/2
@@ -240,15 +238,16 @@ def _exp_validate_girsanov(cfg: ExperimentConfig):
         return np.exp(c * x[node] - 0.5 * c ** 2 * factor.diag_var[node])
 
     # one batch per estimator serves both couplings: f(X) reweighted by the
-    # likelihood ratio, and f(X + s_v)
+    # likelihood ratio, and f(X + s_v), with the boundary-mass functional
+    # f = e^{-mass}: bounded, smooth, and defined for every gamma < 2 (bulk
+    # weights would diverge from sqrt(2) on)
     reweighted = _joined(map_field_chunks(
         factor, cfg.seed + 1, cfg.N,
-        lambda x: [functional(x, g) * likelihood_ratio(x, g)
-                   for g in couplings]))
+        lambda x: [np.exp(-gmc.bdy_mass(x, factor, grid, p, all_bdy))
+                   * likelihood_ratio(x, p.gamma) for p in pars]))
     shifted = _joined(map_field_chunks(
         factor, cfg.seed + 2, cfg.N,
-        lambda x: [functional(x + d[:, None], g)
-                   for g, d in zip(couplings, drifts)]))
+        lambda x: [np.exp(-m(x)[1][0, 0]) for m in shifted_masses]))
     for tag, g, fa, fb in zip("ab", couplings, reweighted, shifted):
         est_a, se_a = fa.mean(), fa.std(ddof=1) / np.sqrt(cfg.N)
         est_b, se_b = fb.mean(), fb.std(ddof=1) / np.sqrt(cfg.N)

@@ -11,9 +11,10 @@ so unshifted means are exactly sum w_i and the interval length.  The
 variances are those of the law sampled (see ``fieldsim``), so the identity
 holds for the fields drawn, up to rounding.
 
-Masses follow the precision of the field they are given: fieldsim's
-float32 fields are exponentiated and summed in float32, as the radial
-lateral field is, and every mass comes back in float64.
+Every mass is sum_i W_i e^{c x_i}: the weights W of ``MassWeights`` fold
+in w_i, the renormalization, any shift and the region, and the field rows
+are exponentiated in the field's precision (float32 for fieldsim's fields)
+and summed by GEMM.  Masses come back in float64.
 
 Measures localized at a boundary midpoint v are the masses of the tilted
 field X + s, with s = ``fieldsim.shift_vector(factor, grid, v, gamma/2)``
@@ -25,8 +26,9 @@ the Neumann kernel, so the tilt multiplies each bulk weight w_i by
 its cell-averaged self-covariance.  Localized masses are therefore finite
 wherever the bulk weights are: bulk cell weights need gamma^2/2 < 1, i.e.
 gamma < sqrt(2), and all desk-scale runs use gamma <= 1.2.
+The tilt folds into W, as e^{c (X + s)} = e^{c X} e^{c s}.
 ``tailest.tilted_masses`` is where grid masses localized at v are made: it
-streams the tilted fields and reads the masses of any set of regions.
+streams the fields and reads the masses of any set of regions.
 """
 
 from __future__ import annotations
@@ -86,27 +88,9 @@ def _check_region(region, n_max, what):
     region = np.asarray(region, dtype=int)
     if region.size and (region.min() < 0 or region.max() >= n_max):
         raise RegionMismatch(f"{what} region indices must lie in [0, {n_max})")
+    if np.unique(region).size != region.size:
+        raise RegionMismatch(f"{what} region repeats an index")
     return region
-
-
-def _as_slice(idx: np.ndarray):
-    """A slice for a non-empty run of consecutive indices, else ``idx``.
-
-    Indexing with the slice gives a view, where ``idx`` would copy the rows.
-    """
-    if idx[-1] - idx[0] == idx.size - 1 and np.all(np.diff(idx) == 1):
-        return slice(idx[0], idx[-1] + 1)
-    return idx
-
-
-def _renorm_exp(vals, diag, coupling, out=None):
-    """exp(c X - c^2/2 Var X) for selected nodes, broadcasting over replicas,
-    in the precision of ``vals``, into ``out`` if given."""
-    d = diag.astype(vals.dtype, copy=False) \
-        .reshape((-1,) + (1,) * (vals.ndim - 1))
-    out = np.multiply(coupling, vals, out=out)
-    out -= 0.5 * coupling * coupling * d
-    return np.exp(out, out=out)
 
 
 # --- plain masses -----------------------------------------------------------
@@ -166,34 +150,81 @@ def bulk_second_moment(grid: Grid, params: GmcParams,
     return total, float(w @ (w * np.exp(g2 * diag))) / total
 
 
-def _mass(field, factor: CovFactor, rows: np.ndarray, coupling: float,
-          w: np.ndarray):
-    """sum_i w_i exp(c X_i - c^2/2 Var X_i) over the given field rows.
+def _exp_gemm(field, rows, coupling, weights):
+    """sum_i weights[i, k] e^{c x_{rows[i]}} for every column k of weights.
 
-    ``field`` is one realization (dim,), giving a float, or a (dim, n)
-    batch, giving n float64 masses.  The sum runs in the field's precision,
-    through einsum rather than a BLAS gemv, so it does not depend on the
-    BLAS thread count.  Rows are exponentiated ``MASS_ROWS`` at a time into
-    one small buffer, so no array the size of the selected rows is made.
-    Row 0 of the buffer carries the running sum with weight 1, and einsum
-    adds a batch's rows in order, so the blocks continue one sum over all
-    rows.
+    ``field`` is a (dim, n) batch, read and never written; the (k, n) sums
+    come back in float64.  The rows are exponentiated ``MASS_ROWS`` at a
+    time, in the field's precision, into one small buffer, and each block
+    is added with one GEMM, so no array the size of the selected rows is
+    made.  This is the one place where field rows become masses.
     """
-    vals = np.asarray(field)
-    if not rows.size:
-        return 0.0 if vals.ndim == 1 else np.zeros(vals.shape[1:])
-    dtype = np.result_type(vals, coupling)
-    k = min(MASS_ROWS, rows.size)
-    buf = np.zeros((k + 1,) + vals.shape[1:], dtype=dtype)
-    wts = np.ones(k + 1, dtype=dtype)
+    dtype = np.result_type(field, coupling)
+    out = np.zeros((weights.shape[1], field.shape[1]), dtype=dtype)
+    wts = weights.astype(dtype)
+    buf = np.empty((min(MASS_ROWS, rows.size), field.shape[1]), dtype=dtype)
     for a in range(0, rows.size, MASS_ROWS):
-        block = _as_slice(rows[a:a + MASS_ROWS])
-        m = min(MASS_ROWS, rows.size - a)
-        _renorm_exp(vals[block], factor.diag_var[block], coupling,
-                    out=buf[1:m + 1])
-        wts[1:m + 1] = w[a:a + m]
-        buf[0] = np.einsum("i,i...->...", wts[:m + 1], buf[:m + 1])
-    return float(buf[0]) if vals.ndim == 1 else buf[0].astype(np.float64)
+        blk = buf[:min(MASS_ROWS, rows.size - a)]
+        # rows are checked, and mode "raise" would buffer a copy of blk
+        np.take(field, rows[a:a + MASS_ROWS], axis=0, out=blk, mode="clip")
+        blk *= coupling
+        np.exp(blk, out=blk)
+        out += wts[a:a + MASS_ROWS].T @ blk
+    return out.astype(np.float64)
+
+
+class MassWeights:
+    """Masses of x + s_j over regions R, for fixed shifts s_j and regions.
+
+    As e^{c (X + s)} = e^{c X} e^{c s}, everything but e^{c x} folds into
+    one weight matrix:
+
+        mass(R, j) = sum_i W[i, (R, j)] e^{c x_i},
+        W[i, (R, j)] = w_i e^{c s_ij - c^2/2 Var X_i} 1{i in R},
+
+    with c = gamma and w_i = ``bulk_weights`` on bulk rows, c = gamma/2 and
+    w_i = seg_len on boundary rows.  The two kinds of rows are kept apart,
+    and only rows in some region are read (``_exp_gemm``).  ``shifts`` is
+    (dim, n_shifts); the regions are index arrays as ``bulk_mass`` and
+    ``bdy_mass`` take them.
+    """
+
+    def __init__(self, factor: CovFactor, grid: Grid, params: GmcParams,
+                 shifts: np.ndarray, bulk_regions, bdy_regions):
+        nb = grid.n_bulk_cells
+        shifts = np.asarray(shifts, dtype=float)
+        self.bulk = self._part(bulk_regions, "bulk", 0, params.gamma,
+                               shifts[:nb], factor.diag_var[:nb],
+                               bulk_weights(grid, params))
+        _require_finite_bulk_weights(self.bulk[2])
+        self.bdy = self._part(bdy_regions, "boundary", nb, params.gamma / 2.0,
+                              shifts[nb:], factor.diag_var[nb:],
+                              np.full(grid.n_bdy, grid.seg_len))
+        self.n_shifts = shifts.shape[1]
+
+    @staticmethod
+    def _part(regions, what, offset, c, shifts, var, w):
+        """(field rows, c, W) for one kind of row, whose first field row is
+        ``offset``: W with its columns region-major, over the rows where it
+        is not zero."""
+        wts = w[:, None] * np.exp(c * shifts - 0.5 * c * c * var[:, None])
+        full = np.zeros((w.size, len(regions), shifts.shape[1]))
+        for k, r in enumerate(regions):
+            r = _check_region(r, w.size, what)
+            full[r, k] = wts[r]
+        full = full.reshape(w.size, -1)
+        rows = np.flatnonzero(full.any(axis=1))
+        return offset + rows, c, full[rows]
+
+    def __call__(self, field):
+        """(bulk, boundary) float64 masses of a field (dim,) or a batch
+        (dim, n): arrays (n_regions, n_shifts) + field.shape[1:], one per
+        kind of region.  The field is not written."""
+        x = np.asarray(field)
+        batch = x.reshape(x.shape[0], -1)
+        return tuple(
+            _exp_gemm(batch, *part).reshape(-1, self.n_shifts, *x.shape[1:])
+            for part in (self.bulk, self.bdy))
 
 
 def bulk_mass(field, factor: CovFactor, grid: Grid, params: GmcParams,
@@ -203,57 +234,17 @@ def bulk_mass(field, factor: CovFactor, grid: Grid, params: GmcParams,
     For an unshifted field the expectation is exactly the sum of the cell
     weights (the discrete renormalization identity).
     """
-    cells = _check_region(region, grid.n_bulk_cells, "bulk")
-    w = bulk_weights(grid, params)[cells]
-    _require_finite_bulk_weights(w)
-    return _mass(field, factor, cells, params.gamma, w)
+    bulk, _ = MassWeights(factor, grid, params, np.zeros((factor.dim, 1)),
+                          [region], [])(field)
+    return bulk[0, 0]
 
 
 def bdy_mass(field, factor: CovFactor, grid: Grid, params: GmcParams,
              interval):
     """Boundary GMC mass (coupling gamma/2) over a set of segments."""
-    segs = _check_region(interval, grid.n_bdy, "boundary")
-    return _mass(field, factor, grid.n_bulk_cells + segs, params.gamma / 2.0,
-                 np.full(segs.size, grid.seg_len))
-
-
-class ShiftedCubeMasses:
-    """Whole-cube bulk and boundary masses of x + s_j for fixed shifts s_j.
-
-    Since e^{c (X + s)} = e^{c X} e^{c s}, every shift and the
-    renormalization e^{-c^2/2 Var X} fold into the mass weights: the bulk
-    mass of x + s_j is sum_i w_i e^{gamma s_ij - gamma^2/2 Var X_i}
-    e^{gamma x_i}, and the boundary mass is the same sum with seg_len and
-    coupling gamma/2.  A batch then costs one exponential per node and
-    replica plus two small GEMMs for all shifts, in the precision of the
-    field; the masses come back in float64.
-    """
-
-    def __init__(self, factor: CovFactor, grid: Grid, params: GmcParams,
-                 shifts: np.ndarray):
-        nb = grid.n_bulk_cells
-        g = params.gamma
-        w = bulk_weights(grid, params)
-        _require_finite_bulk_weights(w)
-        coupling = np.where(np.arange(factor.dim) < nb, g, 0.5 * g)[:, None]
-        expo = coupling * np.asarray(shifts, dtype=float) \
-            - 0.5 * coupling * coupling * factor.diag_var[:, None]
-        self.n_bulk = nb
-        self.coupling = coupling
-        self.bulk_w = w[:, None] * np.exp(expo[:nb])
-        self.bdy_w = grid.seg_len * np.exp(expo[nb:])
-
-    def __call__(self, x: np.ndarray):
-        """(bulk, boundary) float64 masses, each (n_shifts, n), of the
-        columns of x.
-
-        ``x`` (dim, n) is overwritten with e^{c x}.
-        """
-        dtype, nb = x.dtype, self.n_bulk
-        x *= self.coupling.astype(dtype)
-        np.exp(x, out=x)
-        return ((self.bulk_w.T.astype(dtype) @ x[:nb]).astype(np.float64),
-                (self.bdy_w.T.astype(dtype) @ x[nb:]).astype(np.float64))
+    _, bdy = MassWeights(factor, grid, params, np.zeros((factor.dim, 1)),
+                         [], [interval])(field)
+    return bdy[0, 0]
 
 
 # --- angular weight ---------------------------------------------------------

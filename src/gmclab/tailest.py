@@ -26,9 +26,10 @@ The radial estimators (this constant, its finite-t curve and the quotient
 moments) read draws: the caller's one ``RadialSampler.sample_joint`` result.
 
 Grid masses localized at a boundary point v come from ``tilted_masses``:
-one streamed pass of the fields tilted toward v gives the masses of every
-requested region.  The rho-scan of the localized quotient, the locality-gap
-diagnostic and quotient-moments' grid half read them.
+one streamed pass of the fields, with the tilt toward v folded into the
+mass weights, gives the masses of every requested region.  The rho-scan of
+the localized quotient, the locality-gap diagnostic and quotient-moments'
+grid half read them.
 
 Quotient moments, the rho-scaling exponent
 zeta_tilde(p; q) = (2 - gamma^2/2)(p - q/2) - gamma^2 (p - q/2)^2, and the
@@ -208,7 +209,8 @@ def localized_survival_curve(params: GmcParams, grid: Grid, factor: CovFactor,
     taken over replicas.  ``n_exceed`` counts the replicas with at least one
     tilt above t.  Exact in expectation for every t simultaneously (same
     draws reused across t), and nonincreasing in t.  Fields are streamed in
-    chunks; no (dim, replicas) array is built.
+    chunks and the tilts fold into the mass weights (``gmc.MassWeights``);
+    no (dim, replicas) array is built.
     """
     ts = np.asarray(ts, dtype=float)
     order = np.argsort(ts, kind="stable")
@@ -217,10 +219,12 @@ def localized_survival_curve(params: GmcParams, grid: Grid, factor: CovFactor,
     shifts = np.column_stack([shift_vector(factor, grid, float(v),
                                            params.gamma / 2.0)
                               for v in grid.bdy_centers])
-    masses = gmc.ShiftedCubeMasses(factor, grid, params, shifts)
+    masses = gmc.MassWeights(factor, grid, params, shifts,
+                             [gmc.region_all_bulk(grid)],
+                             [gmc.region_all_bdy(grid)])
 
     def chunk_sums(x):
-        mb, md = masses(x)  # (n_bdy, size) each
+        (mb,), (md,) = masses(x)  # (n_bdy, size) each
         size = x.shape[1]
         # tilt (j, r) lies above t_k exactly for k < b, its bin
         # b = searchsorted(t, mb[j, r]); replica r then has
@@ -358,23 +362,18 @@ def tilted_masses(params: GmcParams, grid: Grid, factor: CovFactor, v: float,
 
     The tilt is the exact discrete Girsanov drift s = shift_vector(factor,
     grid, v, gamma/2), so these are the masses localized at v (see ``gmc``).
-    Fields are streamed in chunks from ``seed``, each tilted in place.
-    Returns (bulk, bdy): one (N,) array of ``gmc.bulk_mass`` per region of
-    ``bulk_regions`` and of ``gmc.bdy_mass`` per region of ``bdy_regions``,
-    all from the same N fields.
+    It is folded into the weights of one ``gmc.MassWeights`` over all the
+    regions, and fields are streamed in chunks from ``seed``.  Returns
+    (bulk, bdy): one (N,) array per region of ``bulk_regions`` (bulk mass)
+    and of ``bdy_regions`` (boundary mass), all from the same N fields.
     """
-    delta = shift_vector(factor, grid, v, params.gamma / 2.0)[:, None]
-
-    def masses(x):
-        x += delta
-        return ([gmc.bulk_mass(x, factor, grid, params, c)
-                 for c in bulk_regions],
-                [gmc.bdy_mass(x, factor, grid, params, s)
-                 for s in bdy_regions])
-
+    masses = gmc.MassWeights(
+        factor, grid, params,
+        shift_vector(factor, grid, v, params.gamma / 2.0)[:, None],
+        bulk_regions, bdy_regions)
     bulk, bdy = zip(*map_field_chunks(factor, seed, N, masses))
-    return ([np.concatenate(m) for m in zip(*bulk)],
-            [np.concatenate(m) for m in zip(*bdy)])
+    return (list(np.concatenate(bulk, axis=-1)[:, 0]),
+            list(np.concatenate(bdy, axis=-1)[:, 0]))
 
 
 # --- quotient moments -------------------------------------------------------------

@@ -13,8 +13,10 @@ from gmclab.gmc import GmcParams
 
 U32, U64 = 2.0 ** -24, 2.0 ** -53  # unit roundoff of float32 and float64
 # numpy's float32 exp is within 4 ulp, 8 U32 relative (2.54 ulp measured
-# over 2e7 arguments in [-80, 80])
+# over 2e7 arguments in [-80, 80]); so is its float64 exp (0.68 ulp
+# measured over 2e5 arguments in [-40, 40])
 EXP32_REL = 8 * U32
+EXP_REL = {np.float32: EXP32_REL, np.float64: 8 * U64}
 
 
 def gamma_k(k, u=U32):
@@ -22,6 +24,18 @@ def gamma_k(k, u=U32):
     in any order, is within gamma_k sum |term| of the exact one, and a
     product of k factors (1 + delta), |delta| <= u, is within gamma_k of 1."""
     return k * u / (1.0 - k * u)
+
+
+def mass_rel_bound(k, c, xmax, dtype=np.float32):
+    """Relative bound on a mass sum_i W_i e^{c x_i} of k positive terms
+    computed in ``dtype`` (unit roundoff u): W rounded once to dtype (u),
+    c x with c rounded to dtype (gamma_2 c |x| in the exponent), exp
+    (``EXP_REL``) and a dot product of k terms, blocked in any order
+    (gamma_k).  1e-12 more covers the float64 arithmetic that builds W and
+    the float64 references (under 1e-13 at these sizes)."""
+    u = np.finfo(dtype).eps / 2
+    return (1 + u) * (1 + EXP_REL[dtype]) * (1 + gamma_k(k, u)) \
+        * np.exp(gamma_k(2, u) * c * xmax) - 1 + 1e-12
 
 
 def cov_rounding_bound(factor):
@@ -119,6 +133,12 @@ def test_region_mismatch(setup):
         gmc.bulk_mass(x, factor, grid, params, np.array([grid.n_bulk_cells]))
     with pytest.raises(RegionMismatch):
         gmc.bdy_mass(x, factor, grid, params, np.array([-1]))
+    # a repeated index would count its node twice
+    with pytest.raises(RegionMismatch):
+        gmc.bulk_mass(x, factor, grid, params, np.array([3, 5, 3]))
+    with pytest.raises(RegionMismatch):
+        gmc.MassWeights(factor, grid, params, np.zeros((factor.dim, 1)), [],
+                        [gmc.region_all_bdy(grid), np.array([0, 0])])
 
 
 def test_supercritical_bulk_weight(setup):
@@ -224,71 +244,85 @@ def test_girsanov_localization_bridge(setup):
     assert abs(lhs - rhs) <= 3 * np.hypot(lhs_se, rhs_se)
 
 
-def test_shifted_cube_masses_match_shifted_fields():
-    """Two GEMMs over e^{c x} give the masses of x + s_j for every tilt j.
-
-    The reference runs in float64 on the float64 fields x + s_j.  The
-    float32 path rounds each weight w e^{c s - c^2/2 Var X} once (u),
-    computes c x with the rounded c (gamma_2 c |x| in the exponent), exp
-    (EXP32_REL) and a GEMM sum of k positive terms (gamma_k)."""
-    from gmclab.fieldsim import shift_vector
+def test_mass_weights_match_shifted_fields():
+    """One ``MassWeights`` call gives the masses of x + s_j for every tilt j
+    over overlapping regions (all bulk cells and a half-disk, all boundary
+    segments and an interval), for batches and single fields, in float32
+    and float64.  The reference sums w_i e^{c (x_i + s_ij) - c^2/2 Var X_i}
+    over each region in float64; a region of k nodes is within
+    ``mass_rel_bound`` of it.  gamma = 1.2 is not a float32 number, so the
+    rounding of c is exercised too."""
     grid = fs.build_grid(0.5, 6, 12)
     factor = fs.build_cov(grid)
-    params = GmcParams(1.0, 0.5)
-    shifts = np.column_stack([
-        shift_vector(factor, grid, float(v), params.gamma / 2.0)
-        for v in grid.bdy_centers])
-    x = fs.sample_field_batch(factor, 31, 300)
-    mb, md = gmc.ShiftedCubeMasses(factor, grid, params, shifts)(x.copy())
-    assert mb.shape == md.shape == (grid.n_bdy, 300)
-    assert mb.dtype == md.dtype == np.float64
-    nb = grid.n_bulk_cells
-    rel = [(1 + U32) * (1 + EXP32_REL) * (1 + gamma_k(k))
-           * np.exp(gamma_k(2) * c * np.abs(x[rows]).max()) - 1 + 1e-12
-           for k, rows, c in ((nb, slice(0, nb), params.gamma),
-                              (grid.n_bdy, slice(nb, None),
-                               params.gamma / 2))]
-    for j in range(grid.n_bdy):
-        y = x + shifts[:, j:j + 1]
-        ref_b = gmc.bulk_mass(y, factor, grid, params,
-                              gmc.region_all_bulk(grid))
-        ref_d = gmc.bdy_mass(y, factor, grid, params,
-                             gmc.region_all_bdy(grid))
-        np.testing.assert_allclose(mb[j], ref_b, rtol=rel[0], atol=0.0)
-        np.testing.assert_allclose(md[j], ref_d, rtol=rel[1], atol=0.0)
+    params = GmcParams(1.2, 0.5)
+    g = params.gamma
+    shifts = np.column_stack([fs.shift_vector(factor, grid, float(v), g / 2.0)
+                              for v in grid.bdy_centers])
+    bulk = [gmc.region_all_bulk(grid),
+            gmc.region_halfdisk_bulk(grid, 0.0, 0.3)]
+    bdy = [gmc.region_all_bdy(grid),
+           gmc.region_interval_bdy(grid, -0.25, 0.25)]
+    assert 0 < bulk[1].size < bulk[0].size and 0 < bdy[1].size < bdy[0].size
+    masses = gmc.MassWeights(factor, grid, params, shifts, bulk, bdy)
+    kinds = ((bulk, 0, g, gmc.bulk_weights(grid, params)),
+             (bdy, grid.n_bulk_cells, g / 2,
+              np.full(grid.n_bdy, grid.seg_len)))
+    var = factor.diag_var[:, None]
+    x32 = fs.sample_field_batch(factor, 31, 300)
+    for field in (x32, x32.astype(np.float64), x32[:, 7],
+                  x32[:, 7].astype(np.float64)):
+        x = field.astype(np.float64).reshape(factor.dim, -1)
+        for (regions, offset, c, w), got in zip(kinds, masses(field)):
+            assert got.dtype == np.float64
+            assert got.shape == (2, grid.n_bdy) + field.shape[1:]
+            for r, region in enumerate(regions):
+                rows = offset + region
+                rel = mass_rel_bound(region.size, c, np.abs(x[rows]).max(),
+                                     field.dtype.type)
+                for j in range(grid.n_bdy):
+                    y = x[rows] + shifts[rows, j:j + 1]
+                    ref = w[region] @ np.exp(c * y - 0.5 * c * c * var[rows])
+                    np.testing.assert_allclose(
+                        got[r, j], ref.reshape(field.shape[1:]), rtol=rel,
+                        atol=0.0)
 
 
 def test_masses_leave_the_field_unchanged(setup):
-    """The renormalized exponent is built in place on a copy: every mass
-    function leaves the caller's field as it was, batch or single field."""
+    """Fields are only read: every mass call leaves the caller's field as it
+    was, batch or single field, shifted or not.  A mass within one block of
+    ``MASS_ROWS`` rows is bit for bit one float32 GEMM of the weights
+    w_i e^{-c^2/2 Var X_i} with e^{c x_i}."""
     grid, factor = setup
     params = GmcParams(1.0, 0.5)
     x = fs.sample_field_batch(factor, 41, 50)
     bulk, bdy = gmc.region_all_bulk(grid), gmc.region_all_bdy(grid)
+    shift = fs.shift_vector(factor, grid, float(grid.bdy_centers[3]), 0.5)
     calls = [
         lambda f: gmc.bulk_mass(f, factor, grid, params, bulk),
         lambda f: gmc.bdy_mass(f, factor, grid, params, bdy),
+        gmc.MassWeights(factor, grid, params, shift[:, None], [bulk], [bdy]),
     ]
     for field in (x, x[:, 7]):
         before = field.copy()
         for call in calls:
             call(field)
             assert np.array_equal(field, before)
-    # same float32 arithmetic, in the same order, as exp(c X - c^2/2 Var X)
     g = params.gamma
-    w32 = gmc.bulk_weights(grid, params).astype(np.float32)
-    var32 = factor.diag_var[bulk].astype(np.float32)[:, None]
-    ref = np.einsum("i,i...->...", w32, np.exp(g * x[bulk] - 0.5 * g * g
-                                               * var32))
+    w32 = (gmc.bulk_weights(grid, params)
+           * np.exp(-0.5 * g * g * factor.diag_var[bulk])).astype(np.float32)
+    ref = w32[:, None].T @ np.exp(g * x[bulk])
+    assert bulk.size <= gmc.MASS_ROWS
     assert x.dtype == ref.dtype == np.float32
-    assert np.array_equal(calls[0](x), ref.astype(np.float64))
+    assert np.array_equal(calls[0](x), ref[0].astype(np.float64))
 
 
 def test_blocked_masses_continue_one_sum(monkeypatch):
     """A batch's mass over more rows than ``MASS_ROWS`` is built block by
-    block in one small buffer whose row 0 carries the running sum: the
-    masses are bit for bit those of one block over all rows, and the
-    call never holds an array the size of the selected rows."""
+    block in one small buffer, each block added by one GEMM, so the call
+    never holds an array the size of the selected rows.  Every block size
+    sums the same float32 products W_i e^{c x_i}, only in another order;
+    each order is within gamma_k of their exact sum S (k terms, all
+    positive), so two block sizes agree within 2 gamma_k / (1 - gamma_k)."""
     grid = fs.build_grid(0.5, 24, 48)
     factor = fs.build_cov(grid)
     params = GmcParams(1.0, 0.5)
@@ -300,10 +334,12 @@ def test_blocked_masses_continue_one_sum(monkeypatch):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 0.5 * x[bulk].nbytes
+    rel = 2 * gamma_k(bulk.size) / (1 - gamma_k(bulk.size))
     for rows in (7, bulk.size):  # 82 full blocks and a short one; one block
         monkeypatch.setattr(gmc, "MASS_ROWS", rows)
-        assert np.array_equal(gmc.bulk_mass(x, factor, grid, params, bulk),
-                              mb)
+        np.testing.assert_allclose(
+            gmc.bulk_mass(x, factor, grid, params, bulk), mb, rtol=rel,
+            atol=0.0)
 
 
 def test_bulk_second_moment_is_the_sampled_law():

@@ -12,6 +12,15 @@ from gmclab.gmc import GmcParams
 from gmclab.radial import DriftSpec, RadialConfig, RadialSampler, sample_max
 from gmclab.rng import stream_generator
 
+U32 = 2.0 ** -24  # float32 unit roundoff
+EXP32_REL = 8 * U32  # numpy's float32 exp is within 4 ulp
+
+
+def gamma_k(k, u=U32):
+    """Higham's gamma_k = k u / (1 - k u): a dot product of k terms, in any
+    order, is within gamma_k sum |term| of the exact one."""
+    return k * u / (1.0 - k * u)
+
 
 def test_survival_curve_basics():
     rows = tailest.survival_curve([1.0, 2.0, 3.0], [2.5])
@@ -249,16 +258,32 @@ def _tilted_setup():
 
 
 def test_tilted_masses_match_the_tilted_batch():
+    """tilted_masses are the masses of the tilted fields x + s.  Against
+    gmc's float64 masses of the float64 tilted batch, a region of k nodes
+    is within the float32 bound of test_gmc's ``mass_rel_bound``:
+    (1 + u)(1 + EXP32_REL)(1 + gamma_k) e^{gamma_2 c max|x|} - 1, plus
+    1e-12 for the float64 side."""
     grid, factor, params, (cells, segs) = _tilted_setup()
     bulk, bdy = tailest.tilted_masses(params, grid, factor, 0.0, cells, segs,
                                       3000, 11)
     x = fs.sample_field_batch(factor, 11, 3000)
-    x += fs.shift_vector(factor, grid, 0.0, params.gamma / 2.0)[:, None]
+    y = x + fs.shift_vector(factor, grid, 0.0, params.gamma / 2.0)[:, None]
+    assert y.dtype == np.float64
     assert len(bulk) == len(bdy) == 2
+
+    def rel(rows, c):
+        return (1 + U32) * (1 + EXP32_REL) * (1 + gamma_k(rows.size)) \
+            * np.exp(gamma_k(2) * c * np.abs(x[rows]).max()) - 1 + 1e-12
+
+    g = params.gamma
     for got, c in zip(bulk, cells):
-        assert np.array_equal(got, gmc.bulk_mass(x, factor, grid, params, c))
+        np.testing.assert_allclose(
+            got, gmc.bulk_mass(y, factor, grid, params, c), rtol=rel(c, g),
+            atol=0.0)
     for got, seg in zip(bdy, segs):
-        assert np.array_equal(got, gmc.bdy_mass(x, factor, grid, params, seg))
+        np.testing.assert_allclose(
+            got, gmc.bdy_mass(y, factor, grid, params, seg),
+            rtol=rel(grid.n_bulk_cells + seg, g / 2), atol=0.0)
 
 
 def test_tilted_masses_threads_bit_exact(monkeypatch):
