@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import gmc
 from .errors import (ConfigInvalid, DegenerateWindow, EmptySample,
@@ -489,6 +488,9 @@ def perturbed_constant_factor(g_diag, r: float, gamma: float) -> float:
     Multiplies the exact-scaling tail constant for Neumann kernels with a
     bounded perturbation g.
     """
+    # imported here, its only use: scipy.integrate adds about 19 MB of
+    # resident memory to every process that imports gmclab
+    from scipy import integrate
     expo = 2.0 / gamma ** 2 - 1.0
     val, err = integrate.quad(lambda v: np.exp(expo * g_diag(v)), -r, r,
                               epsabs=1e-10, epsrel=1e-10, limit=200)

@@ -145,11 +145,51 @@ def test_failed_cholesky_raises_not_positive_definite(monkeypatch):
         raise cause
 
     g = fs.build_grid(0.5, 6, 12)
-    monkeypatch.setattr(scipy.linalg, "cholesky", fail)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
     with pytest.raises(NotPositiveDefinite) as info:
         fs.build_cov(g)
     assert calls == [(g.n_nodes, g.n_nodes)]
     assert info.value.__cause__ is cause
+
+
+def test_cov_assembles_lower_row_blocks(monkeypatch):
+    """The kernel is evaluated on the row blocks [a:b, :b] of ``CAST_ROWS``
+    rows only, the lower triangle that LAPACK reads, not on all dim^2
+    pairs: 624 nodes make blocks of 256, 256 and 112 rows."""
+    grid = fs.build_grid(0.5, 24, 48)
+    pts = grid.node_points()
+    calls = []
+    pairwise = kernels.pairwise
+
+    def counting(spec, pts_a, pts_b):
+        calls.append((pts_a, pts_b))
+        return pairwise(spec, pts_a, pts_b)
+
+    monkeypatch.setattr(kernels, "pairwise", counting)
+    f = fs.build_cov(grid)
+    bounds = [(0, 256), (256, 512), (512, 624)]
+    assert fs.CAST_ROWS == 256 and len(calls) == len(bounds)
+    for (pts_a, pts_b), (a, b) in zip(calls, bounds):
+        assert np.array_equal(pts_a, pts[a:b])
+        assert np.array_equal(pts_b, pts[:b])
+    entries = sum(len(pts_a) * len(pts_b) for pts_a, pts_b in calls)
+    assert entries == 256 * 256 + 256 * 512 + 112 * 624 < f.dim ** 2
+
+
+@pytest.mark.parametrize("n_bulk", [16, 32])
+def test_factor_upper_triangle_is_zero(n_bulk):
+    """The strict upper triangle of the factor is exactly zero, on both
+    sides of the huge-page size: at 16x16+32 the float64 matrix (0.66 MB)
+    and the factor are plain arrays, at 32x32+64 both (9.5 MB and 4.7 MB)
+    lie on maps of their own, where nothing is written above the
+    diagonal."""
+    grid = fs.build_grid(0.5, n_bulk, 2 * n_bulk)
+    f = fs.build_cov(grid)
+    small = 8 * f.dim ** 2 < fs.HUGE_PAGE_BYTES
+    assert small == (n_bulk == 16)
+    assert small or 4 * f.dim ** 2 >= fs.HUGE_PAGE_BYTES
+    assert not np.any(np.triu(f.lower_factor, 1))
+    assert np.all(np.diag(f.lower_factor) > 0)
 
 
 def test_not_positive_definite_on_large_cube():
@@ -225,6 +265,30 @@ def test_batch_threads_invariance(monkeypatch):
     monkeypatch.setenv("GMCLAB_THREADS", "4")
     x2 = fs.sample_field_batch(f, 9, 5000)
     assert np.array_equal(x1, x2)
+
+
+def test_batch_is_the_chunks_of_the_chunk_map(monkeypatch):
+    """``sample_field_batch`` draws each chunk straight into its output
+    columns; the result equals, bit for bit, the chunks that a copying
+    ``fn`` receives from ``map_field_chunks``, over two full chunks and a
+    short one, for 1, 2 and 4 workers."""
+    f = fs.build_cov(fs.build_grid(0.5, 16, 32))
+    n = 2 * fs.SAMPLE_CHUNK + 123
+    x1 = None
+    for workers in ("1", "2", "4"):
+        monkeypatch.setenv("GMCLAB_THREADS", workers)
+        x = fs.sample_field_batch(f, 13, n, stream_offset=4)
+        chunks = fs.map_field_chunks(f, 13, n, lambda c: c.copy(),
+                                     stream_offset=4)
+        assert [c.shape[1] for c in chunks] == [fs.SAMPLE_CHUNK,
+                                                fs.SAMPLE_CHUNK, 123]
+        assert np.array_equal(x, np.concatenate(chunks, axis=1))
+        x1 = x if x1 is None else x1
+        assert np.array_equal(x, x1)
+    for bad in (np.empty((f.dim, n - 1), np.float32),
+                np.empty((f.dim, n), np.float64)):
+        with pytest.raises(ValueError):
+            fs.map_field_chunks(f, 13, n, lambda c: None, out=bad)
 
 
 def test_each_worker_refills_one_chunk_buffer(monkeypatch):
@@ -376,9 +440,12 @@ def test_float32_masses_match_float64_fields(n_bulk):
 
 
 def test_multiply_rejects_bad_layouts():
-    """BLAS gets raw pointers, so any layout but C-contiguous float32 with
-    matching shapes must raise before the call, float64 arrays included,
-    leaving both arrays as they were."""
+    """BLAS gets raw pointers, so the factor must be C-contiguous float32
+    and the normals float32 with contiguous rows, of matching shapes: any
+    other layout must raise before the call, float64 arrays included,
+    leaving both arrays as they were.  A column block of a wider C-ordered
+    array is accepted, and its product equals the contiguous one bit for
+    bit, leaving the other columns as they were."""
     rng = np.random.default_rng(0)
     lower = np.tril(rng.standard_normal((6, 6))).astype(np.float32)
     z = rng.standard_normal((6, 8)).astype(np.float32)
@@ -398,6 +465,13 @@ def test_multiply_rejects_bad_layouts():
     k = np.arange(6) + 1.0
     bound = (gamma_k(k) + gamma_k(6, U64))[:, None] * (a64 @ np.abs(z64))
     assert np.all(np.abs(x - lower.astype(np.float64) @ z64) <= bound)
+    wide = rng.standard_normal((6, 20)).astype(np.float32)
+    wide[:, 5:13] = z
+    before = wide.copy()
+    fs._lower_times_inplace(lower, wide[:, 5:13])
+    assert np.array_equal(wide[:, 5:13], x)
+    assert np.array_equal(np.delete(wide, np.s_[5:13], axis=1),
+                          np.delete(before, np.s_[5:13], axis=1))
 
 
 def test_thread_count_rejects_malformed_env(monkeypatch):

@@ -1,9 +1,14 @@
 """Tail fits on known laws, the localization estimator, quotient moments,
 feasibility systems, and the perturbed-kernel factor."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gmclab
 from gmclab import fieldsim as fs
 from gmclab import gmc, tailest
 from gmclab.errors import (ConfigInvalid, DegenerateWindow, EmptySample,
@@ -337,6 +342,17 @@ def test_perturbed_constant_factor():
     # exponent 2/gamma^2 - 1 vanishes at gamma = sqrt(2)
     assert tailest.perturbed_constant_factor(lambda v: v * v, 0.5,
                                              np.sqrt(2.0)) == pytest.approx(1.0)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """``scipy.integrate`` is imported by ``perturbed_constant_factor``
+    alone, when first called, so ``import gmclab`` does not load it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gmclab.__file__)))
+    code = ("import sys, gmclab; "
+            "assert 'gmclab.tailest' in sys.modules; "
+            "assert 'scipy.integrate' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_rho_scan_slope():
