@@ -188,6 +188,8 @@ def test_factor_upper_triangle_is_zero(n_bulk):
     small = 8 * f.dim ** 2 < fs.HUGE_PAGE_BYTES
     assert small == (n_bulk == 16)
     assert small or 4 * f.dim ** 2 >= fs.HUGE_PAGE_BYTES
+    # a plain array owns its data; one on a map is a view of the map
+    assert f.lower_factor.flags.owndata == small
     assert not np.any(np.triu(f.lower_factor, 1))
     assert np.all(np.diag(f.lower_factor) > 0)
 
