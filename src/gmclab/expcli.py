@@ -44,19 +44,6 @@ from .rng import stream_generator
 STABILITY_WINDOWS = 8  # sliding half-decade windows of the tail-fit scan
 WINDOW_P_ENTRY = 5e-3  # survival level where the tail-fit window may start
 
-EXPERIMENTS = (
-    "validate-kernels",
-    "validate-girsanov",
-    "max-law",
-    "tail-fit",
-    "constant-two-route",
-    "quotient-moments",
-    "zeta-scaling",
-    "perturbed-g",
-    "locality-gap",
-)
-
-
 @dataclass
 class ExperimentConfig:
     """Everything an experiment run depends on, with explicit defaults."""
@@ -108,9 +95,6 @@ class ExperimentConfig:
         return RadialConfig(T=self.radial_T, ds=self.radial_ds,
                             n_theta=self.radial_n_theta)
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
@@ -152,7 +136,7 @@ class ResultRecord:
                         "as a divergence diagnostic")
 
 
-def emit_plotdata(record: ResultRecord, curves: dict, out_dir: str) -> list:
+def emit_plotdata(curves: dict, out_dir: str) -> list:
     """Write tidy CSVs; survival curves get t,phat,stderr, the rest
     series,x,y,yerr.  Values carry 17 significant digits so a re-parse
     recovers them exactly."""
@@ -339,10 +323,12 @@ class _TailFitRun:
     curves: dict
 
 
-def _tail_fit_run(cfg: ExperimentConfig, kernel=None) -> _TailFitRun:
-    """Shared machinery of tail-fit, constant-two-route and perturbed-g."""
+def _tail_fit_run(cfg: ExperimentConfig,
+                  g: Optional[Callable] = None) -> _TailFitRun:
+    """Shared machinery of tail-fit, constant-two-route and perturbed-g;
+    ``g`` perturbs the kernel as in ``fieldsim.build_cov``."""
     grid = build_grid(cfg.r, cfg.n_bulk, cfg.n_bdy)
-    factor = build_cov(grid, kernel)
+    factor = build_cov(grid, g)
     params = GmcParams(gamma=cfg.gamma, r=cfg.r)
     n_cal = min(cfg.N, 20000)
     _, mb_plain = tailest.plain_survival(params, grid, factor, [1.0], n_cal,
@@ -360,7 +346,7 @@ def _tail_fit_run(cfg: ExperimentConfig, kernel=None) -> _TailFitRun:
     c_anchor, c_se = tailest.fixed_exponent_constant(curve, target, window)
     # exact E[M^2] and its single-cell share: how far the grid is from the
     # continuum, with no Monte Carlo
-    m2, m2_diag_share = gmc.bulk_second_moment(grid, params, kernel)
+    m2, m2_diag_share = gmc.bulk_second_moment(grid, params, g)
     # window-stability scan: sliding half-decade windows
     rows, stab = [], []
     lo, hi = np.log(window[0]), np.log(window[1])
@@ -545,8 +531,7 @@ def _exp_perturbed_g(cfg: ExperimentConfig):
         shape = np.broadcast(np.asarray(z)[..., 0], np.asarray(w)[..., 0]).shape
         return np.full(shape, c)
 
-    pert = kernels.KernelSpec(g=g_const)
-    perturbed = _tail_fit_run(cfg, kernel=pert)
+    perturbed = _tail_fit_run(cfg, g=g_const)
     c0 = exact.metrics["constant_anchored"]
     c1 = perturbed.metrics["constant_anchored"]
     ratio = c1 / c0
@@ -604,6 +589,7 @@ _DISPATCH: dict[str, Callable] = {
     "perturbed-g": _exp_perturbed_g,
     "locality-gap": _exp_locality_gap,
 }
+EXPERIMENTS = tuple(_DISPATCH)  # subcommand names, in this order
 
 
 def run(config: ExperimentConfig) -> ResultRecord:
@@ -625,7 +611,7 @@ def run(config: ExperimentConfig) -> ResultRecord:
     record.validate()
     out_dir = os.path.join(config.output_dir,
                            f"{config.experiment}-{record.config_hash}")
-    record.artifacts = emit_plotdata(record, curves, out_dir)
+    record.artifacts = emit_plotdata(curves, out_dir)
     try:
         with open(os.path.join(out_dir, "record.json"), "w") as fh:
             json.dump(dataclasses.asdict(record), fh, indent=2, sort_keys=True,

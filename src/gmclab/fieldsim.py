@@ -81,7 +81,6 @@ class Grid:
     bdy_centers: np.ndarray   # (n_bdy,) midpoints on (-r, r)
     dx: float
     dy: float
-    cell_area: float
     seg_len: float
 
     @property
@@ -117,7 +116,7 @@ def build_grid(r: float, n_bulk: int, n_bdy: int) -> Grid:
     seg = 2.0 * r / n_bdy
     bdy = -r + seg * (np.arange(n_bdy) + 0.5)
     return Grid(r=float(r), n_bulk=n_bulk, n_bdy=n_bdy, bulk_centers=bulk,
-                bdy_centers=bdy, dx=dx, dy=dy, cell_area=dx * dy, seg_len=seg)
+                bdy_centers=bdy, dx=dx, dy=dy, seg_len=seg)
 
 
 @dataclass(frozen=True)
@@ -137,22 +136,16 @@ class CovFactor:
     lower_factor: np.ndarray
     diag_var: np.ndarray
     jitter_used: float
-    kernel: kernels.KernelSpec
 
     def cov_column(self, j: int) -> np.ndarray:
         """Column j of the sampled covariance, L L^T e_j, in float64."""
         lower = self.lower_factor
         return np.einsum("ik,k->i", lower, lower[j], dtype=np.float64)
 
-    def covariance(self) -> np.ndarray:
-        """The sampled covariance L L^T in float64 (for diagnostics and
-        tests)."""
-        lower = self.lower_factor.astype(np.float64)
-        return lower @ lower.T
 
-
-def diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
-    """Exact cell-averaged self-covariances E[X_cell^2], bulk then boundary."""
+def diag_cell_averages(grid: Grid, g: Optional[Callable]) -> np.ndarray:
+    """Exact cell-averaged self-covariances E[X_cell^2], bulk then boundary,
+    of the kernel K_C, or of K_C + g with the perturbation ``g`` given."""
     nb2 = grid.n_bulk_cells
     # all bulk cells share the direct term; the image term depends on the row
     direct = neg_log_avg_tri(grid.dx, -grid.dy, grid.dy)
@@ -165,17 +158,17 @@ def diag_cell_averages(grid: Grid, kernel: kernels.KernelSpec) -> np.ndarray:
     diag[:nb2] = direct + image_by_row[rows]
     # on the boundary K_C restricts to -2 ln|x - y|
     diag[nb2:] = 2.0 * neg_log_avg_segment(grid.seg_len)
-    if kernel.g is not None:
+    if g is not None:
         pts = grid.node_points()
-        diag += kernel.g(pts, pts)
+        diag += g(pts, pts)
     return diag
 
 
-def build_cov(grid: Grid,
-              kernel: Optional[kernels.KernelSpec] = None) -> CovFactor:
+def build_cov(grid: Grid, g: Optional[Callable] = None) -> CovFactor:
     """Assemble and factor the covariance of all grid nodes, in grid order.
 
-    ``kernel`` defaults to the Neumann kernel K_C.  Off-diagonal entries are
+    The kernel is the Neumann kernel K_C, or K_C + g with the perturbation
+    ``g`` given (see ``kernels.pairwise``).  Off-diagonal entries are
     kernel values at node centers, bulk/boundary cross blocks included;
     diagonal entries are exact cell averages.  The boundary block is the
     -2 ln|x - y| covariance of the boundary field, so boundary masses read
@@ -194,15 +187,13 @@ def build_cov(grid: Grid,
     ``_triangle_matrix``, so on large grids the pages right of the
     diagonal are never made resident.
     """
-    if kernel is None:
-        kernel = kernels.KernelSpec()
     pts = grid.node_points()
     dim = len(pts)
     cov = _triangle_matrix(dim, np.float64)
     for a in range(0, dim, CAST_ROWS):
         b = min(a + CAST_ROWS, dim)
-        cov[a:b, :b] = kernels.pairwise(kernel, pts[a:b], pts[:b])
-    np.fill_diagonal(cov, diag_cell_averages(grid, kernel))
+        cov[a:b, :b] = kernels.pairwise(pts[a:b], pts[:b], g)
+    np.fill_diagonal(cov, diag_cell_averages(grid, g))
     try:
         # the lower triangle of the C-ordered cov is the upper triangle of
         # its Fortran-ordered transpose: LAPACK writes U = L^T over it, and
@@ -214,7 +205,7 @@ def build_cov(grid: Grid,
         raise NotPositiveDefinite(
             f"covariance is not positive definite (grid r={grid.r}, "
             f"{grid.n_bulk}x{grid.n_bulk}+{grid.n_bdy}, "
-            f"{'Neumann' if kernel.g is None else 'perturbed'} kernel); "
+            f"{'Neumann' if g is None else 'perturbed'} kernel); "
             "log kernels are positive definite only on small cubes") from exc
     lower = upper.T
     lower32 = _triangle_matrix(dim, np.float32)
@@ -229,7 +220,7 @@ def build_cov(grid: Grid,
                   where=_CAST_MASK[:b - a, :b - a])
         diag_var[a:b] = np.einsum("ij,ij->i", block, block, dtype=np.float64)
     return CovFactor(dim=dim, lower_factor=lower32, diag_var=diag_var,
-                     jitter_used=0.0, kernel=kernel)
+                     jitter_used=0.0)
 
 
 def _capsule_pointer(capsule) -> int:

@@ -34,7 +34,7 @@ streams the fields and reads the masses of any set of regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -120,7 +120,7 @@ def bulk_weights(grid: Grid, params: GmcParams) -> np.ndarray:
 
 
 def bulk_second_moment(grid: Grid, params: GmcParams,
-                       kernel: Optional[kernels.KernelSpec] = None):
+                       g: Optional[Callable] = None):
     """Exact E[M^2] of the whole-cube bulk mass, and its diagonal share.
 
     E[M^2] = sum_ij w_i w_j e^{gamma^2 Sigma_ij}, with Sigma the node
@@ -129,20 +129,18 @@ def bulk_second_moment(grid: Grid, params: GmcParams,
     it.  No factor is needed, so there is no positive-definiteness
     condition and no node cap; the kernel is evaluated in blocks of
     ``SECOND_MOMENT_ROWS`` rows.  The diagonal share is the part of E[M^2]
-    from the single-cell terms w_i^2 e^{gamma^2 Var X_i}.  ``kernel``
-    defaults to the Neumann kernel.
+    from the single-cell terms w_i^2 e^{gamma^2 Var X_i}.  The kernel is
+    the Neumann kernel K_C, or K_C + g with the perturbation ``g`` given.
     """
-    if kernel is None:
-        kernel = kernels.KernelSpec()
     w = bulk_weights(grid, params)
     _require_finite_bulk_weights(w)
     g2 = params.gamma ** 2
     pts = grid.bulk_centers
-    diag = diag_cell_averages(grid, kernel)[:grid.n_bulk_cells]
+    diag = diag_cell_averages(grid, g)[:grid.n_bulk_cells]
     total = 0.0
     for a in range(0, pts.shape[0], SECOND_MOMENT_ROWS):
         b = min(a + SECOND_MOMENT_ROWS, pts.shape[0])
-        blk = kernels.pairwise(kernel, pts[a:b], pts)
+        blk = kernels.pairwise(pts[a:b], pts, g)
         np.fill_diagonal(blk[:, a:b], diag[a:b])
         blk *= g2
         np.exp(blk, out=blk)

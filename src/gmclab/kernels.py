@@ -20,7 +20,6 @@ and the field decomposes as X = sqrt(2) B_t + Y with Y the lateral noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,18 +29,7 @@ from .cellavg import SEGMENT_LOG_CONST
 from .errors import DiagonalSingularity, QuadratureUnstable
 
 PAIRWISE_BLOCK = 1 << 16  # output entries per row block of ``pairwise``
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """The covariance kernel: K_C when ``g`` is None, else K_C + g.
-
-    ``g`` must be symmetric, g(z, w) = g(w, z), and vectorized: it is called
-    with point arrays of shape (..., 2) that broadcast against each other and
-    must return their broadcast shape.
-    """
-
-    g: Optional[Callable] = None
+GL_PANEL = 16  # Gauss-Legendre nodes per panel of the semicircle quadratures
 
 
 def _check_point(p) -> tuple[float, float]:
@@ -110,17 +98,21 @@ def _g_matrix(g: Callable, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarray:
+def pairwise(pts_a: np.ndarray, pts_b: np.ndarray,
+             g: Optional[Callable] = None) -> np.ndarray:
     """Kernel matrix K_C (+ g) at point centers (no diagonal regularization).
 
     ``pts_*`` are (n, 2) arrays of half-plane points.  Coincident pairs produce
     +inf; grid builders overwrite those entries with cell averages.  With
-    ``spec.g`` set, g is called once on all pairs and added to K_C.
+    the perturbation ``g`` given, the kernel is K_C + g: g is called once on
+    all pairs and added to K_C.  ``g`` must be symmetric, g(z, w) = g(w, z),
+    and vectorized: it is called with point arrays of shape (..., 2) that
+    broadcast against each other and must return their broadcast shape.
 
     Each entry takes one logarithm of squared distances, and the matrix is
     filled in blocks of rows, so no temporary is as large as the output.
-    Every operation is symmetric in its two points, so ``pairwise(spec, p,
-    p)`` is exactly symmetric.
+    Every operation is symmetric in its two points, so ``pairwise(p, p)``
+    is exactly symmetric.
     """
     pts_a = np.asarray(pts_a, dtype=float)
     pts_b = np.asarray(pts_b, dtype=float)
@@ -144,9 +136,9 @@ def pairwise(spec: KernelSpec, pts_a: np.ndarray, pts_b: np.ndarray) -> np.ndarr
             d1sq *= d2sq
             np.log(d1sq, out=blk)
             blk *= -0.5
-    if spec.g is not None:
+    if g is not None:
         # user code on the full broadcast, evaluated once
-        out += _g_matrix(spec.g, pts_a, pts_b)
+        out += _g_matrix(g, pts_a, pts_b)
     return out
 
 
@@ -159,9 +151,9 @@ def semicircle_avg_cov(s: float, t: float) -> float:
     return 2.0 * min(float(s), float(t))
 
 
-def _gl_composite(n_nodes: int, lo: float, hi: float, panel: int = 16):
+def _gl_composite(n_nodes: int, lo: float, hi: float):
     """Composite Gauss-Legendre nodes/weights with about n_nodes points."""
-    per = min(panel, max(2, n_nodes))
+    per = min(GL_PANEL, max(2, n_nodes))
     n_panels = max(1, int(round(n_nodes / per)))
     x, w = leggauss(per)
     edges = np.linspace(lo, hi, n_panels + 1)
@@ -181,7 +173,7 @@ def _quadrature_cov_once(s: float, t: float, n_nodes: int) -> float:
     if s != t:
         th1, w1 = _gl_composite(n_nodes, 0.0, np.pi)
         th2, w2 = _gl_composite(n_nodes, 0.0, np.pi)
-        vals = pairwise(KernelSpec(), _semicircle_points(s, th1),
+        vals = pairwise(_semicircle_points(s, th1),
                         _semicircle_points(t, th2))
         return float(w1 @ vals @ w2) / np.pi ** 2
 
@@ -193,7 +185,7 @@ def _quadrature_cov_once(s: float, t: float, n_nodes: int) -> float:
     h = np.pi / n
     th1 = (np.arange(n) + 0.5) * h
     th2 = (np.arange(2 * n) + 0.5) * (h / 2.0)
-    vals = pairwise(KernelSpec(), _semicircle_points(s, th1),
+    vals = pairwise(_semicircle_points(s, th1),
                     _semicircle_points(t, th2))
     model = -np.log(np.abs(th1[:, None] - th2[None, :]))
     rule = np.sum(vals - model) * h * (h / 2.0)

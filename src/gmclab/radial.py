@@ -256,7 +256,6 @@ class LateralModel:
         self.n_theta = int(n_theta)
         self.n_s = 2 * int(round(T / ds)) + 1
         self.n_p = self.n_s  # normals per mode per sample
-        self.s_grid = -self.T + self.ds * np.arange(self.n_s)
         h = np.pi / n_theta
         self.theta = np.concatenate([[0.0], h * (np.arange(n_theta) + 0.5),
                                      [np.pi]])
@@ -278,6 +277,14 @@ class LateralModel:
         # where this raises SupercriticalWeight
         self.zh_weights = self._theta_cell_weights(gamma ** 2 / 2.0)
         self.ez_h = float(self.zh_weights.sum())      # exact E[Z_H(s)]
+        # row i of the field enters its exponential as c_i y_i - c_i^2/2
+        # Var y_i: c = gamma inside, gamma/2 on the two boundary rays
+        c = np.full(self.m, self.gamma)
+        c[[0, -1]] = 0.5 * self.gamma
+        self._zh_weights32 = self.zh_weights.astype(np.float32)
+        self._coupling32 = c.astype(np.float32)[:, None, None]
+        self._half_var32 = ((0.5 * c * c).astype(np.float32)
+                            * self.diag_var.astype(np.float32))[:, None, None]
 
     def _theta_cell_weights(self, p: float) -> np.ndarray:
         """Integrals of (sin theta)^{-p} over each interior theta cell.
@@ -323,22 +330,17 @@ class LateralModel:
         block's first half in C order and their sines the rest.  So the first
         k of n draws are not the draws of ``sample(seed, k)``.
         """
-        g = self.gamma
-        w32 = self.zh_weights.astype(np.float32)
-        dv32 = self.diag_var.astype(np.float32)
-        y = self._field(stream_generator(seed, stream), n)
-        # the interior rows become their exponentials in place
-        e = y[1:-1]
-        e *= g
-        e -= 0.5 * g * g * dv32[1:-1, None, None]
+        # every row becomes its renormalized exponential in place
+        e = self._field(stream_generator(seed, stream), n)
+        e *= self._coupling32
+        e -= self._half_var32
         np.exp(e, out=e)
         # einsum, not a BLAS gemv, so the sums do not depend on the BLAS
         # thread count
-        zh = np.einsum("k,kj->j", w32, e.reshape(self.n_theta, -1)) \
+        zh = np.einsum("k,kj->j", self._zh_weights32,
+                       e[1:-1].reshape(self.n_theta, -1)) \
             .reshape(self.n_s, n).astype(np.float64)
-        zbdy = (np.exp(0.5 * g * y[0] - 0.125 * g * g * dv32[0])
-                + np.exp(0.5 * g * y[-1] - 0.125 * g * g * dv32[-1])) \
-            .astype(np.float64)
+        zbdy = (e[0] + e[-1]).astype(np.float64)
         return zh, zbdy
 
 

@@ -1,12 +1,16 @@
-"""Every public top-level function and class of gmclab has a caller outside
-the tests, and no program file imports another module's private names.
+"""Every public top-level function and class of gmclab, and every public
+member of its public classes, has a caller outside the tests, and no program
+file imports another module's private names.
 
 Public names that only tests call are dead weight: they must be kept
 working and documented, yet no experiment, demo or benchmark depends on
 them.  A name counts as used when the package, ``perfbench/`` or ``demos/``
 refers to it outside its own definition, as a name, an attribute, an import
 alias or a string constant (``perfbench/spans.py`` rebinds functions by
-attribute name).
+attribute name).  The members of a class are its methods and properties,
+its annotated (dataclass) fields and the ``self.`` attributes its methods
+assign; a member's own definition is its method, its field line or the
+statements that assign it.
 
 An underscore name is private to its module.  A package module, demo or
 benchmark file that imports one from another gmclab module depends on what
@@ -40,6 +44,43 @@ def _public_definitions():
                 yield path, node
 
 
+def _assigned(stmt):
+    """Targets of an assignment statement; none for other nodes."""
+    if isinstance(stmt, ast.Assign):
+        return stmt.targets
+    if isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        return [stmt.target]
+    return []
+
+
+def _public_members(cls):
+    """{member name: [(first, last) line of each definition]} of a class.
+
+    Methods and properties count by their def, annotated fields by their
+    line, and ``self.`` attributes by every statement of a method that
+    assigns them."""
+    members = {}
+
+    def add(name, node):
+        if not name.startswith("_"):
+            members.setdefault(name, []).append((node.lineno, node.end_lineno))
+
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                          ast.Name):
+            add(node.target.id, node)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            add(node.name, node)
+            for stmt in ast.walk(node):
+                for target in _assigned(stmt):
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Attribute) \
+                                and isinstance(sub.value, ast.Name) \
+                                and sub.value.id == "self":
+                            add(sub.attr, stmt)
+    return members
+
+
 def _references(tree):
     """(name, line) for every name, attribute, import alias and string."""
     for node in ast.walk(tree):
@@ -55,12 +96,18 @@ def _references(tree):
             yield node.value, node.lineno
 
 
-def test_every_public_definition_has_a_non_test_caller():
+def _program_references():
+    """{name: [(path, line)]} over the package, perfbench and the demos."""
     refs = {}
     for directory in CALLER_DIRS:
         for path, tree in _sources(directory):
             for name, line in _references(tree):
                 refs.setdefault(name, []).append((path, line))
+    return refs
+
+
+def test_every_public_definition_has_a_non_test_caller():
+    refs = _program_references()
     unused = []
     for path, node in _public_definitions():
         own = range(node.lineno, node.end_lineno + 1)
@@ -69,6 +116,21 @@ def test_every_public_definition_has_a_non_test_caller():
             unused.append(f"{os.path.relpath(path, ROOT)}:{node.lineno} "
                           f"{node.name}")
     assert not unused, "public names no program code uses: " + ", ".join(unused)
+
+
+def test_every_public_member_has_a_non_test_caller():
+    refs = _program_references()
+    unused = []
+    for path, node in _public_definitions():
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for name, spans in _public_members(node).items():
+            if not any(p != path or not any(a <= line <= b for a, b in spans)
+                       for p, line in refs.get(name, [])):
+                unused.append(f"{os.path.relpath(path, ROOT)}:{spans[0][0]} "
+                              f"{node.name}.{name}")
+    assert not unused, ("public members no program code uses: "
+                        + ", ".join(unused))
 
 
 def _imported_module(node):

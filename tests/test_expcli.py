@@ -22,7 +22,8 @@ TOY = dict(gamma=1.0, n_bulk=4, n_bdy=8, N=2000, seed=3, radial_n_theta=8,
 def test_config_roundtrip():
     cfg = expcli.ExperimentConfig(experiment="max-law", gamma=1.3,
                                   N=1234, seed=99, t_grid=[1.0, 2.5, 10.0])
-    back = expcli.ExperimentConfig.from_json(cfg.to_json())
+    back = expcli.ExperimentConfig.from_json(
+        json.dumps(dataclasses.asdict(cfg)))
     assert back == cfg
     assert back.config_hash() == cfg.config_hash()
 
@@ -73,12 +74,8 @@ def test_record_files_and_schema(tmp_path):
 
 
 def test_csv_roundtrip(tmp_path):
-    record = expcli.ResultRecord(
-        config_hash="x", experiment="max-law", config={}, metrics={},
-        artifacts=[], wall_time=0.0, code_version="0", passed=True)
     val = 0.12345678901234567
     paths = expcli.emit_plotdata(
-        record,
         {"survival_demo": [(1.5, val, 2e-3)],
          "diagnostic": [("series_a", 1.0, val, 0.0)],
          "empty": []},
@@ -101,8 +98,8 @@ def test_cli_exit_codes(tmp_path):
     assert rc == 0
     # config file path
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(expcli.ExperimentConfig(
-        experiment="validate-kernels", N=1000).to_json())
+    cfg_path.write_text(json.dumps(dataclasses.asdict(expcli.ExperimentConfig(
+        experiment="validate-kernels", N=1000))))
     rc = expcli.main(["validate-kernels", "--config", str(cfg_path),
                       "--out", str(tmp_path)])
     assert rc == 0

@@ -31,9 +31,15 @@ def float64_factor(grid):
     """The float64 Cholesky factor that ``build_cov`` rounds to float32: the
     same assembly, factored by the same LAPACK call."""
     pts = grid.node_points()
-    cov = kernels.pairwise(kernels.KernelSpec(), pts, pts)
-    np.fill_diagonal(cov, fs.diag_cell_averages(grid, kernels.KernelSpec()))
+    cov = kernels.pairwise(pts, pts)
+    np.fill_diagonal(cov, fs.diag_cell_averages(grid, None))
     return cov, scipy.linalg.cholesky(cov.copy().T, check_finite=False).T
+
+
+def sampled_cov(f):
+    """The sampled covariance L L^T of the float32 factor, in float64."""
+    lower = f.lower_factor.astype(np.float64)
+    return lower @ lower.T
 
 
 def cov_rounding_bound(f):
@@ -80,18 +86,18 @@ def chunk_normals(seed, stream, dim, size):
 def test_grid_geometry_small():
     g = fs.build_grid(1.0, 2, 2)
     assert g.n_bulk_cells == 4
-    assert g.cell_area == pytest.approx(1.0)
+    assert g.dx * g.dy == pytest.approx(1.0)
     assert g.seg_len == pytest.approx(1.0)
     assert np.all(g.bulk_centers[:, 1] > 0)
     g2 = fs.build_grid(0.5, 4, 4)
     assert g2.n_bulk_cells == 16
-    assert g2.cell_area == pytest.approx(0.0625)
+    assert g2.dx * g2.dy == pytest.approx(0.0625)
 
 
 def test_grid_tiles_exactly():
     g = fs.build_grid(0.5, 8, 16)
     assert g.n_nodes == 64 + 16
-    assert g.n_bulk_cells * g.cell_area == pytest.approx(1.0)  # area of Q_r
+    assert g.n_bulk_cells * g.dx * g.dy == pytest.approx(1.0)  # area of Q_r
     assert g.n_bdy * g.seg_len == pytest.approx(1.0)
     assert np.all(np.abs(g.bdy_centers) < 0.5)
 
@@ -116,7 +122,7 @@ def test_cov_factor_reconstruction():
     assert lower.dtype == np.float32 and lower.flags["C_CONTIGUOUS"]
     assert np.array_equal(lower, lower64.astype(np.float32))
     assert not np.any(np.triu(lower, 1))
-    cov = f.covariance()
+    cov = sampled_cov(f)
     # both sum the same exact float64 products, in two orders
     np.testing.assert_allclose(f.diag_var, np.diag(cov),
                                rtol=2 * gamma_k(f.dim, U64), atol=0.0)
@@ -124,12 +130,12 @@ def test_cov_factor_reconstruction():
     assert f.jitter_used == 0.0
     # off-diagonal entries are kernel values at centers
     pts = g.node_points()
-    k = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+    k = kernels.pairwise(pts, pts)
     off = ~np.eye(g.n_nodes, dtype=bool)
     bound = cov_rounding_bound(f)
     assert np.all(np.abs(cov - k)[off] <= bound[off])
     # and the diagonal holds the cell averages: no jitter was added
-    diag = fs.diag_cell_averages(g, kernels.KernelSpec())
+    diag = fs.diag_cell_averages(g, None)
     assert np.array_equal(np.diag(assembled), diag)
     assert np.all(np.abs(np.diag(cov) - diag) <= np.diag(bound))
 
@@ -161,9 +167,9 @@ def test_cov_assembles_lower_row_blocks(monkeypatch):
     calls = []
     pairwise = kernels.pairwise
 
-    def counting(spec, pts_a, pts_b):
+    def counting(pts_a, pts_b, g=None):
         calls.append((pts_a, pts_b))
-        return pairwise(spec, pts_a, pts_b)
+        return pairwise(pts_a, pts_b, g)
 
     monkeypatch.setattr(kernels, "pairwise", counting)
     f = fs.build_cov(grid)
@@ -202,12 +208,12 @@ def test_not_positive_definite_on_large_cube():
 
 def test_perturbed_additivity():
     g = fs.build_grid(0.5, 4, 8)
-    base = fs.build_cov(g).covariance()
+    base = sampled_cov(fs.build_cov(g))
     c = 0.7
-    pert = fs.build_cov(g, kernels.KernelSpec(
-        g=lambda a, b: c + 0.0 * (
-            np.asarray(a)[..., 0] * np.asarray(b)[..., 0])))
-    assert np.allclose(pert.covariance(), base + c, atol=1e-9)
+    pert = fs.build_cov(
+        g, lambda a, b: c + 0.0 * (
+            np.asarray(a)[..., 0] * np.asarray(b)[..., 0]))
+    assert np.allclose(sampled_cov(pert), base + c, atol=1e-9)
 
 
 def test_neumann_boundary_block_is_log_interval_kernel():
@@ -216,13 +222,13 @@ def test_neumann_boundary_block_is_log_interval_kernel():
     # off-diagonal -2 ln 1 = 0 for boundary nodes at x = -0.5, +0.5
     g = fs.build_grid(1.0, 2, 2)  # midpoints at -0.5, +0.5
     pts = g.node_points()[g.n_bulk_cells:]
-    k = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+    k = kernels.pairwise(pts, pts)
     assert k[0, 1] == pytest.approx(0.0, abs=1e-12)
     for grid in (fs.build_grid(0.25, 2, 4), fs.build_grid(0.5, 16, 32)):
         f = fs.build_cov(grid)
         assert f.dim == grid.n_nodes
         nb = grid.n_bulk_cells
-        block = f.covariance()[nb:, nb:]
+        block = sampled_cov(f)[nb:, nb:]
         # the factor's rounding, plus float64 slack between the two log
         # formulas
         bound = cov_rounding_bound(f)[nb:, nb:] + 1e-12
@@ -237,7 +243,7 @@ def test_neumann_boundary_block_is_log_interval_kernel():
 
 def test_bulk_boundary_cross_block_nonzero():
     g = fs.build_grid(0.5, 4, 8)
-    cov = fs.build_cov(g).covariance()
+    cov = sampled_cov(fs.build_cov(g))
     nb = g.n_bulk_cells
     assert np.abs(cov[:nb, nb:]).max() > 0.1  # bulk and boundary are coupled
 
@@ -359,8 +365,7 @@ def test_chunk_normals_are_row_blocks_of_fill_normal32():
     assert fs.NORMAL_ROWS == 16
     dim, n = 40, fs.SAMPLE_CHUNK + 301
     ident = fs.CovFactor(dim=dim, lower_factor=np.eye(dim, dtype=np.float32),
-                         diag_var=np.ones(dim), jitter_used=0.0,
-                         kernel=kernels.KernelSpec())
+                         diag_var=np.ones(dim), jitter_used=0.0)
     x = fs.sample_field_batch(ident, 8, n, stream_offset=3)
     for c, (a, b) in enumerate([(0, fs.SAMPLE_CHUNK), (fs.SAMPLE_CHUNK, n)]):
         assert np.array_equal(x[:, a:b], chunk_normals(8, 3 + c, dim, b - a))
@@ -490,7 +495,7 @@ def test_thread_count_rejects_malformed_env(monkeypatch):
 def test_empirical_covariance_matches_factor():
     g = fs.build_grid(0.5, 6, 12)
     f = fs.build_cov(g)
-    cov = f.covariance()
+    cov = sampled_cov(f)
     n = 100_000
     x = fs.sample_field_batch(f, 123, n)
     emp = (x @ x.T) / n
@@ -556,7 +561,7 @@ def test_semicircle_average_variance():
     assert sel.size >= 8
     wts = np.zeros(g.n_nodes)
     wts[sel] = 1.0 / sel.size
-    exact = float(wts @ f.covariance() @ wts)
+    exact = float(wts @ sampled_cov(f) @ wts)
     rho_eff = float(np.exp(np.log(rad[sel]).mean()))
     target = -2.0 * np.log(rho_eff)
     assert abs(exact - target) / target <= 0.10

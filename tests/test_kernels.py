@@ -65,23 +65,23 @@ def test_kernel_symmetry_randomized():
     # exactly symmetric, not only to rounding
     pts = np.column_stack([rng.uniform(-1, 1, 300), rng.uniform(0, 2, 300)])
     bdy = np.column_stack([rng.uniform(-1, 1, 300), np.zeros(300)])
-    for spec, p in (
-            (kernels.KernelSpec(), pts),
-            (kernels.KernelSpec(), bdy),
-            (kernels.KernelSpec(g=lambda a, b: a[..., 0] * b[..., 0]), pts)):
-        k = kernels.pairwise(spec, p, p)
-        assert np.array_equal(k, k.T), spec
+    for g, p in (
+            (None, pts),
+            (None, bdy),
+            (lambda a, b: a[..., 0] * b[..., 0], pts)):
+        k = kernels.pairwise(p, p, g)
+        assert np.array_equal(k, k.T), g
 
 
 def test_perturbed_reductions():
     """pairwise with g is the Neumann matrix plus g on every pair."""
     pts = np.array([[1.0, 1.0], [2.0, 1.0], [-0.3, 0.0], [0.4, 0.7]])
-    base = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+    base = kernels.pairwise(pts, pts)
     off = ~np.eye(len(pts), dtype=bool)
     xx = np.outer(pts[:, 0], pts[:, 0])
     for c, k in ((0.0, 0.0), (3.25, 0.0), (0.0, 0.1)):  # f = c + k x x'
-        spec = kernels.KernelSpec(g=lambda a, b: c + k * a[..., 0] * b[..., 0])
-        pert = kernels.pairwise(spec, pts, pts)
+        pert = kernels.pairwise(
+            pts, pts, lambda a, b: c + k * a[..., 0] * b[..., 0])
         np.testing.assert_allclose(pert[off] - base[off], (c + k * xx)[off],
                                    rtol=1e-12, atol=1e-12)
         assert np.all(np.isposinf(np.diag(pert)))
@@ -117,7 +117,7 @@ def test_lateral_zero_angular_average():
 
 def test_pairwise_matches_scalar():
     pts = np.array([[0.0, 0.5], [0.3, 1.0], [-0.2, 0.0]])
-    mat = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+    mat = kernels.pairwise(pts, pts)
     for i in range(3):
         for j in range(3):
             if i != j:
@@ -140,7 +140,7 @@ def test_pairwise_matches_scalar_kernels_randomized():
     line = np.column_stack([np.concatenate([pts[:, 0], pts[:40, 0] + 1e-8]),
                             np.zeros(len(pts) + 40)])
     for name, p in (("points", pts), ("line", line)):
-        mat = kernels.pairwise(kernels.KernelSpec(), p, p)
+        mat = kernels.pairwise(p, p)
         off = ~np.eye(len(p), dtype=bool)
         ref = np.array([[kernels.eval_neumann(a, b) if i != j else 0.0
                          for j, b in enumerate(p)] for i, a in enumerate(p)])
@@ -152,7 +152,7 @@ def test_pairwise_matches_scalar_kernels_randomized():
 def test_pairwise_coincident_points_are_infinite():
     pts = np.array([[0.1, 0.3], [0.1, 0.3], [-0.2, 0.0], [-0.2, 0.0]])
     with np.errstate(invalid="raise"):
-        mat = kernels.pairwise(kernels.KernelSpec(), pts, pts)
+        mat = kernels.pairwise(pts, pts)
     assert np.isposinf(mat[0, 1]) and np.isposinf(mat[2, 3])
     assert np.all(np.isfinite(mat[:2, 2:]))
 
@@ -161,21 +161,19 @@ def test_pairwise_blocks_match_one_block(monkeypatch):
     """Row blocks change nothing: a one-row block gives the same matrix."""
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(-1, 1, 50), rng.uniform(0, 2, 50)])
-    specs = (kernels.KernelSpec(),
-             kernels.KernelSpec(g=lambda a, b: a[..., 1] * b[..., 1]))
-    whole = [kernels.pairwise(s, pts, pts[:20]) for s in specs]
+    perturbations = (None, lambda a, b: a[..., 1] * b[..., 1])
+    whole = [kernels.pairwise(pts, pts[:20], g) for g in perturbations]
     monkeypatch.setattr(kernels, "PAIRWISE_BLOCK", 1)
-    for s, m in zip(specs, whole):
-        assert np.array_equal(kernels.pairwise(s, pts, pts[:20]), m), s
+    for g, m in zip(perturbations, whole):
+        assert np.array_equal(kernels.pairwise(pts, pts[:20], g), m), g
 
 
 def test_unvectorized_perturbation_raises():
     """g is called once on broadcast points: a result of the wrong shape
     raises ValueError, and an error raised by g itself propagates."""
     pts = np.array([[0.0, 0.5], [0.3, 1.0], [-0.2, 0.0]])
-    scalar = kernels.KernelSpec(g=lambda a, b: float(np.sum(a * b)))
     with pytest.raises(ValueError, match="shape"):
-        kernels.pairwise(scalar, pts, pts)
+        kernels.pairwise(pts, pts, lambda a, b: float(np.sum(a * b)))
 
     class Refused(Exception):
         pass
@@ -184,4 +182,4 @@ def test_unvectorized_perturbation_raises():
         raise Refused("g refuses broadcast points")
 
     with pytest.raises(Refused):
-        kernels.pairwise(kernels.KernelSpec(g=refuse), pts, pts)
+        kernels.pairwise(pts, pts, refuse)

@@ -27,6 +27,14 @@ def gamma_k(k, u=U32):
     return k * u / (1.0 - k * u)
 
 
+def curve_of(rows):
+    """(t, phat, stderr) rows as the ``WeightedSurvival`` that ``fit_tail``
+    reads; no exceedance counts are kept."""
+    ts, phat, stderr = np.asarray(rows, dtype=float).T
+    return tailest.WeightedSurvival(ts=ts, phat=phat, stderr=stderr,
+                                    n_exceed=np.zeros(ts.size, dtype=int))
+
+
 def test_survival_curve_basics():
     rows = tailest.survival_curve([1.0, 2.0, 3.0], [2.5])
     assert rows[0][1] == pytest.approx(1.0 / 3.0)
@@ -44,7 +52,8 @@ def test_fit_tail_pareto_oracle():
     rng = stream_generator(99, 0)
     x = rng.random(100_000) ** -0.5
     ts = np.geomspace(1.2, 30.0, 40)
-    fit = tailest.fit_tail(tailest.survival_curve(x, ts), (1.5, 20.0))
+    fit = tailest.fit_tail(curve_of(tailest.survival_curve(x, ts)),
+                           (1.5, 20.0))
     assert fit.exponent == pytest.approx(2.0, abs=0.05)
     assert fit.constant == pytest.approx(1.0, rel=0.05)
 
@@ -54,16 +63,18 @@ def test_fit_tail_exp_max_oracle():
     m = sample_max(DriftSpec(1.0), 7, n=100_000)
     y = np.exp(m)  # survival t^{-1.5} exactly for t >= 1
     ts = np.geomspace(1.5, 100.0, 30)
-    fit = tailest.fit_tail(tailest.survival_curve(y, ts), (1.5, 100.0))
+    fit = tailest.fit_tail(curve_of(tailest.survival_curve(y, ts)),
+                           (1.5, 100.0))
     assert fit.exponent == pytest.approx(1.5, abs=0.05)
     assert fit.constant == pytest.approx(1.0, rel=0.05)
 
 
 def test_fit_tail_errors():
     with pytest.raises(DegenerateWindow):
-        tailest.fit_tail([(1.0, 0.5, 0.01)] * 3, (0.5, 2.0))
+        tailest.fit_tail(curve_of([(1.0, 0.5, 0.01)] * 3), (0.5, 2.0))
     with pytest.raises(DegenerateWindow):
-        tailest.fit_tail([(1.0, 0.5, 0.01)] * 10, (2.0, 0.5))  # empty window
+        # empty window
+        tailest.fit_tail(curve_of([(1.0, 0.5, 0.01)] * 10), (2.0, 0.5))
 
 
 @pytest.fixture(scope="module")
